@@ -286,23 +286,21 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		}
 	})
 
-	// Steady state per backend: one persistent engine, Reset+Run per op, no
-	// listeners. The compiled backend must report 0 allocs/op here
+	// Steady state: one persistent engine, Reset+Run per op, no listeners.
+	// The compiled backend must report 0 allocs/op here
 	// (TestEngineSteadyStateZeroAlloc asserts it).
-	for _, bk := range []nsa.Backend{nsa.BackendEvent, nsa.BackendCompiled} {
-		b.Run(bk.String(), func(b *testing.B) {
-			eng := nsa.NewEngine(m.Net, nsa.Options{Horizon: m.Horizon, Backend: bk})
+	b.Run("compiled", func(b *testing.B) {
+		eng := nsa.NewEngine(m.Net, nsa.Options{Horizon: m.Horizon})
+		if _, err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Reset()
 			if _, err := eng.Run(); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Reset()
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -12,8 +12,8 @@
 //     one global-product interpretation (the ComposeVsGlobal rows, the
 //     compositional one guarded by the CI bench gate).
 //
-// -backend selects the engine backend for every measured interpretation
-// (default "compiled", the production configuration).
+// -backend selects the engine backend for every measured interpretation:
+// "compiled" (the default, the library's zero value) or "naive".
 //
 // Absolute times depend on the host; the reproduced result is the shape:
 // Model Checking roughly doubles per added job while the proposed approach
@@ -116,7 +116,7 @@ func main() {
 		scale      = flag.Bool("scale", false, "run the industrial-scale experiment")
 		engineMB   = flag.Bool("engine", false, "run the engine micro-benchmarks (steady-state throughput, expression eval)")
 		composeMB  = flag.Bool("compose", false, "run the compositional-vs-global experiment (16-module system)")
-		backendStr = flag.String("backend", "compiled", "engine backend for measured interpretations: compiled, event or naive")
+		backendStr = flag.String("backend", "compiled", "engine backend for measured interpretations: compiled or naive")
 		minJ       = flag.Int("min", 10, "Table 1 minimum job count")
 		maxJ       = flag.Int("max", 18, "Table 1 maximum job count")
 		maxStates  = flag.Int("max-states", 0, "state bound per Model Checking run (0 = default bound)")

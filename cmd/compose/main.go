@@ -37,7 +37,6 @@ import (
 	"stopwatchsim/internal/config"
 	"stopwatchsim/internal/diag"
 	"stopwatchsim/internal/jobs"
-	"stopwatchsim/internal/nsa"
 	"stopwatchsim/internal/obs"
 	"stopwatchsim/internal/store"
 )
@@ -120,10 +119,7 @@ func cmdRun(args []string) int {
 		}
 		defer st.Close()
 	}
-	pool := jobs.New(jobs.Options{
-		Workers: *workers, Tool: "compose", Logger: lg,
-		Store: st, Backend: nsa.BackendCompiled,
-	})
+	pool := jobs.New(jobs.Options{Workers: *workers, Tool: "compose", Logger: lg, Store: st})
 	defer pool.Close()
 	a := compose.New(pool, st, lg)
 

@@ -48,7 +48,6 @@
 // Usage:
 //
 //	saserve [-addr :8080] [-workers N] [-queue N] [-cache N] [-pprof]
-//	        [-engine-backend compiled|event|naive]
 //	        [-store DIR] [-store-max-mb N] [-stuck-after D]
 //	        [-breaker-threshold N] [-faults PLAN] [-fault-seed N]
 //	        [-trace-spans N] [-trace-export FILE.jsonl] [-flight-depth N]
@@ -90,7 +89,6 @@ import (
 	"stopwatchsim/internal/diag"
 	"stopwatchsim/internal/fault"
 	"stopwatchsim/internal/jobs"
-	"stopwatchsim/internal/nsa"
 	"stopwatchsim/internal/obs"
 	"stopwatchsim/internal/store"
 	"stopwatchsim/internal/synth"
@@ -109,7 +107,6 @@ func main() {
 		faultSeed  = flag.Int64("fault-seed", 1, "fault injection RNG seed (deterministic per seed)")
 		stuckAfter = flag.Duration("stuck-after", 0, "watchdog deadline: kill and requeue jobs running longer than this (0 disables)")
 		breakAfter = flag.Int("breaker-threshold", 0, "consecutive store failures before the disk tier degrades to memory-only (0 = default 5)")
-		backendStr = flag.String("engine-backend", "compiled", "engine backend for analysis runs: compiled, event or naive")
 
 		traceSpans  = flag.Int("trace-spans", obs.DefaultTraceSpans, "in-memory span collector capacity (0 disables tracing)")
 		traceExport = flag.String("trace-export", "", "append finished spans as JSON lines to this file (requires tracing)")
@@ -119,12 +116,6 @@ func main() {
 	logger := obs.LogFlags()
 	flag.Parse()
 	lg := logger()
-
-	backend, err := nsa.ParseBackend(*backendStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "saserve:", err)
-		os.Exit(diag.ExitUsage)
-	}
 
 	// Fault injection is opt-in and loud: a service deliberately running
 	// under chaos should say so on every startup line it owns.
@@ -205,7 +196,6 @@ func main() {
 		Faults:           inj,
 		StuckAfter:       *stuckAfter,
 		BreakerThreshold: *breakAfter,
-		Backend:          backend,
 		Tracer:           tracer,
 		FlightDepth:      *flightDepth,
 	})
@@ -230,7 +220,7 @@ func main() {
 	go func() { errc <- srv.ListenAndServe() }()
 	lg.Info("listening", "addr", *addr, "workers", *workers,
 		"queue", *queue, "cache", *cache, "store", *storeDir,
-		"backend", backend.String(), "pprof", *pprofFlag)
+		"pprof", *pprofFlag)
 
 	select {
 	case err := <-errc:

@@ -575,15 +575,15 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("engine_heap_pops_total", "Stale deadline entries popped lazily.", c.HeapPops)
 	counter("engine_heap_stale_total", "Stale deadline entries dropped by compaction.", c.HeapStale)
 
-	// Compiled-backend counters (zero under the event backend).
+	// Compiled-runtime counters.
 	counter("engine_guard_bytecode_total", "Guard evaluations through bytecode or inlined comparisons.", c.GuardBytecode)
 	counter("engine_deadline_recomputes_total", "Per-automaton deadline recomputations (compiled runtime).", c.DeadlineRecomputes)
 	counter("engine_enabled_unchanged_total", "Enabled-set recomputations that found no change (surgery skipped).", c.EnabledUnchanged)
 	counter("engine_first_fast_total", "Enabled-set queries served by the first-transition fast path.", c.FirstFast)
 
-	// Info metric: which engine backend this service stamps onto runs.
+	// Info metric: the engine backend runs use, the nsa.Options zero value.
 	fmt.Fprintf(w, "# HELP saserve_engine_backend Engine backend in use (info metric, value always 1).\n# TYPE saserve_engine_backend gauge\nsaserve_engine_backend{backend=%q} 1\n",
-		s.pool.Backend().String())
+		nsa.Options{}.Backend.String())
 
 	// Per-phase latency histograms (windowed, Prometheus cumulative form).
 	phases := s.pool.PhaseLatencies()

@@ -17,10 +17,15 @@
 // chooser seed and chosen candidate index, so a -check-engine divergence
 // is reproducible from the log alone.
 //
+// -backend picks the interpreter: compiled (the default, the library's zero
+// value) or naive (full re-enumeration every step, the oracle).
+// -check-engine verifies the compiled runtime against a naive enumeration
+// of the same state at every step.
+//
 // Usage:
 //
 //	simulate -config system.xml [-trace] [-gantt] [-scale N] [-observers]
-//	         [-backend event|compiled|naive]
+//	         [-backend compiled|naive]
 //	         [-check-engine] [-seed N] [-max-steps N] [-timeout D]
 //	         [-max-mem-mb N] [-report out.json] [-profile cpu|mem|trace]
 //	         [-log-level info] [-log-format text]
@@ -52,8 +57,8 @@ func main() {
 		jsonOut    = flag.String("json", "", "write the trace and analysis as JSON to this file")
 		csvOut     = flag.String("csv", "", "write the trace as CSV to this file")
 		report     = flag.String("report", "", "write a JSON report (diagnostics + telemetry) to this file")
-		backendStr = flag.String("backend", "event", "engine backend: event, compiled or naive")
-		checkEng   = flag.Bool("check-engine", false, "differentially verify the optimized engine at every step (slow); with -backend compiled this chains all three backends")
+		backendStr = flag.String("backend", "compiled", "engine backend: compiled or naive")
+		checkEng   = flag.Bool("check-engine", false, "verify the compiled runtime against a naive enumeration at every step (slow)")
 		seed       = flag.Int64("seed", -1, "resolve nondeterminism with a seeded random chooser (default: first in canonical order)")
 	)
 	budget := diag.BudgetFlags()
@@ -156,12 +161,8 @@ func (r *runner) run(ctx context.Context, path string, showTrace, showGantt bool
 	if err != nil {
 		r.fail(err, m.Net)
 	}
-	if checkEngine {
-		if backend == nsa.BackendCompiled {
-			fmt.Println("check-engine: compiled, event-driven and naive interpretations agreed at every step")
-		} else {
-			fmt.Println("check-engine: optimized and naive interpretations agreed at every step")
-		}
+	if checkEngine && backend == nsa.BackendCompiled {
+		fmt.Println("check-engine: compiled and naive interpretations agreed at every step")
 	}
 	sp = r.tl.Start(obs.PhaseCheck)
 	a, err := trace.Analyze(sys, tr)

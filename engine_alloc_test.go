@@ -23,7 +23,7 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := nsa.NewEngine(m.Net, nsa.Options{Horizon: m.Horizon, Backend: nsa.BackendCompiled})
+	eng := nsa.NewEngine(m.Net, nsa.Options{Horizon: m.Horizon})
 	want, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestEngineSteadyStateZeroAllocWithFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := nsa.NewEngine(m.Net, nsa.Options{Horizon: m.Horizon, Backend: nsa.BackendCompiled})
+	eng := nsa.NewEngine(m.Net, nsa.Options{Horizon: m.Horizon})
 	fl := obs.NewFlightRecorder(obs.DefaultFlightDepth)
 	eng.SetFlight(fl)
 	want, err := eng.Run()

@@ -27,44 +27,40 @@ func runBackend(m *model.Model, b nsa.Backend, check bool) (*nsa.SyncTrace, *nsa
 	return tr, eng.State(), res, err
 }
 
-// diffBackends runs one configuration on all three backends — naive
-// re-enumeration as the oracle, the event-driven runtime, and the compiled
-// runtime — and requires byte-identical traces, final states and results.
-// When check is true the compiled run additionally enables CheckEngine,
-// chaining all three backends inside a single run (compiled primary, shadow
-// event-driven runtime, per-step naive comparison).
+// diffBackends runs one configuration on the compiled backend and on naive
+// re-enumeration, the oracle, and requires byte-identical traces, final
+// states and results. When check is true the compiled run additionally
+// enables CheckEngine, which compares its candidate list and delay bound
+// against a naive enumeration of the same state at every step.
 func diffBackends(t *testing.T, name string, m *model.Model, check bool) {
 	t.Helper()
 	wantTr, wantS, wantRes, wantErr := runBackend(m, nsa.BackendNaive, false)
-	for _, b := range []nsa.Backend{nsa.BackendEvent, nsa.BackendCompiled} {
-		gotTr, gotS, gotRes, gotErr := runBackend(m, b, b == nsa.BackendCompiled && check)
-		bname := fmt.Sprintf("%s/%s", name, b)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: naive err %v, %s err %v", bname, wantErr, b, gotErr)
-		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				t.Fatalf("%s: err mismatch:\n naive: %v\n %s: %v", bname, wantErr, b, gotErr)
-			}
-			continue
-		}
-		if gotRes != wantRes {
-			t.Errorf("%s: result %+v, naive %+v", bname, gotRes, wantRes)
-		}
-		diffTraces(t, bname, wantTr, gotTr)
-		diffStates(t, bname, wantS, gotS)
+	gotTr, gotS, gotRes, gotErr := runBackend(m, nsa.BackendCompiled, check)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: naive err %v, compiled err %v", name, wantErr, gotErr)
 	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: err mismatch:\n naive: %v\n compiled: %v", name, wantErr, gotErr)
+		}
+		return
+	}
+	if gotRes != wantRes {
+		t.Errorf("%s: result %+v, naive %+v", name, gotRes, wantRes)
+	}
+	diffTraces(t, name, wantTr, gotTr)
+	diffStates(t, name, wantS, gotS)
 }
 
-// TestEngineDifferential is the property test backing both optimized
-// runtimes: across a spread of random configurations — fixed-priority and
+// TestEngineDifferential is the property test backing the compiled
+// runtime: across a spread of random configurations — fixed-priority and
 // round-robin schedulers, data-flow messages (broadcast send/receive
 // channels), switched networks with port FIFOs, and stopwatch execution
-// clocks throughout — the event-driven and the compiled engines must each
-// produce a SyncTrace byte-identical to the naive full-re-enumeration
-// engine, end in the same state, and report the same result. Every third
-// seed additionally runs the compiled backend under CheckEngine, which
-// chains all three backends per step inside one run.
+// clocks throughout — the compiled engine must produce a SyncTrace
+// byte-identical to the naive full-re-enumeration engine, end in the same
+// state, and report the same result. Every third seed additionally runs
+// the compiled backend under CheckEngine, which compares it with a naive
+// enumeration at every step inside one run.
 func TestEngineDifferential(t *testing.T) {
 	paramSets := []gen.RandomParams{
 		gen.DefaultRandomParams(),
@@ -93,8 +89,8 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialQuickstart runs the three-way differential over the
-// shipped quickstart example and the campaign points its grid spec would
+// TestEngineDifferentialQuickstart runs the differential (with CheckEngine)
+// over the shipped quickstart example and the campaign points its grid spec would
 // materialize from it, so the checked corpus includes hand-written
 // configurations alongside the random ones.
 func TestEngineDifferentialQuickstart(t *testing.T) {

@@ -10,13 +10,12 @@ import (
 	"stopwatchsim/internal/config"
 	"stopwatchsim/internal/gen"
 	"stopwatchsim/internal/jobs"
-	"stopwatchsim/internal/nsa"
 	"stopwatchsim/internal/store"
 )
 
 func newPool(t *testing.T, st *store.Store) *jobs.Pool {
 	t.Helper()
-	p := jobs.New(jobs.Options{Workers: 2, Backend: nsa.BackendCompiled, Store: st})
+	p := jobs.New(jobs.Options{Workers: 2, Store: st})
 	t.Cleanup(p.Close)
 	return p
 }

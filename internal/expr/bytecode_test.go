@@ -47,11 +47,11 @@ func TestBytecodeBoolParity(t *testing.T) {
 		"4 == x", "4 != x",
 		"!(x > 0)",
 		"x > 0 && y > 0", "x > 0 || y > 0",
-		"x != 0 && 10 / x > 1",   // short circuit must protect the division
-		"x == 0 || 10 / x > 1",   // likewise for ||
-		"(x > 0) == (y > 0)",     // bool equality
-		"(x > 0) != (y > 0)",     // bool inequality
-		"t - u >= x + y",         // reg-reg comparison
+		"x != 0 && 10 / x > 1", // short circuit must protect the division
+		"x == 0 || 10 / x > 1", // likewise for ||
+		"(x > 0) == (y > 0)",   // bool equality
+		"(x > 0) != (y > 0)",   // bool inequality
+		"t - u >= x + y",       // reg-reg comparison
 		"x + y * 2 - arr[1] / (y + 3) % 3 > t - u",
 		"x > 0 ? t <= 10 : t > 10", // bool-valued conditional
 	}
@@ -220,11 +220,11 @@ func TestBytecodeUpdatePanicParity(t *testing.T) {
 		src  string
 		vars []int64
 	}{
-		{"x = x * 100", []int64{4, 0, 0, 0, 0}},  // domain violation on x
-		{"arr[y] = 1", []int64{0, 7, 0, 0, 0}},   // target index out of range
+		{"x = x * 100", []int64{4, 0, 0, 0, 0}},    // domain violation on x
+		{"arr[y] = 1", []int64{0, 7, 0, 0, 0}},     // target index out of range
 		{"arr[y] = 1 / x", []int64{0, 7, 0, 0, 0}}, // index panic fires before value eval
-		{"x = 1 / y", []int64{4, 0, 0, 0, 0}},    // value panic before store
-		{"arr[0] = -1", []int64{0, 0, 5, 0, 0}},  // domain violation through array
+		{"x = 1 / y", []int64{4, 0, 0, 0, 0}},      // value panic before store
+		{"arr[0] = -1", []int64{0, 0, 5, 0, 0}},    // domain violation through array
 	}
 	for _, c := range cases {
 		l := MustParseResolveUpdate(c.src, testScope())

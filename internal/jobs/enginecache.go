@@ -7,7 +7,7 @@ import (
 )
 
 // engineCache is a per-worker LRU of prepared engines (model.Prepared),
-// keyed by configuration fingerprint + backend. Workers own their cache
+// keyed by configuration fingerprint. Workers own their cache
 // exclusively — no locking — and hand it to runners through the run
 // context; ConfigRun checks out an engine, Reset+Runs it, and returns it
 // on success. Checkout semantics (get removes, put re-inserts) mean a

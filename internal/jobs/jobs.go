@@ -102,10 +102,6 @@ type Runner interface {
 // schedulability criterion over the trace.
 type ConfigRun struct {
 	Sys *config.System
-	// Backend pins the engine backend for this run; the zero value lets
-	// the pool's default apply. Not part of Key: backends are
-	// outcome-interchangeable.
-	Backend nsa.Backend
 }
 
 // Key returns the canonical configuration fingerprint.
@@ -127,12 +123,12 @@ func (r ConfigRun) Run(ctx context.Context, b nsa.Budget) (*Outcome, error) {
 		probe *obs.Probe
 	)
 	if ec := engineCacheFrom(ctx); ec != nil {
-		key := r.Sys.Fingerprint() + "/" + r.Backend.String()
+		key := r.Sys.Fingerprint()
 		prep := ec.get(key)
 		if prep == nil {
 			sp := tl.Start(obs.PhaseBuild)
 			var err error
-			prep, err = model.Prepare(r.Sys, r.Backend)
+			prep, err = model.Prepare(r.Sys, nsa.BackendCompiled)
 			sp.End()
 			if err != nil {
 				return nil, err
@@ -158,7 +154,7 @@ func (r ConfigRun) Run(ctx context.Context, b nsa.Budget) (*Outcome, error) {
 			return nil, err
 		}
 		sp = tl.Start(obs.PhaseInterpret)
-		tr, res, err = m.SimulateEngine(ctx, nsa.Options{Budget: b, Probe: probe, Backend: r.Backend,
+		tr, res, err = m.SimulateEngine(ctx, nsa.Options{Budget: b, Probe: probe,
 			Logger: obs.LoggerFrom(ctx), Flight: obs.FlightFrom(ctx)})
 		sp.End()
 		if err != nil {
@@ -191,10 +187,6 @@ func (r ConfigRun) Run(ctx context.Context, b nsa.Budget) (*Outcome, error) {
 type XTARun struct {
 	Src     string
 	Horizon int64
-	// Backend pins the engine backend for this run; the zero value lets
-	// the pool's default apply. Not part of Key: backends are
-	// outcome-interchangeable.
-	Backend nsa.Backend
 }
 
 // Key hashes the source and horizon; the interpretation is deterministic,
@@ -226,7 +218,6 @@ func (r XTARun) Run(ctx context.Context, b nsa.Budget) (*Outcome, error) {
 		Listeners: []nsa.Listener{tr},
 		Budget:    b,
 		Probe:     probe,
-		Backend:   r.Backend,
 		Logger:    obs.LoggerFrom(ctx),
 		Flight:    obs.FlightFrom(ctx),
 	})

@@ -47,13 +47,6 @@ type Options struct {
 	// Budget is the default per-job resource budget; jobs submitted with
 	// SubmitBudget override it. The pool adds its own cancellation on top.
 	Budget nsa.Budget
-	// Backend is the engine backend runs use unless the submitted runner
-	// pins one itself. The zero value is the event-driven runtime; services
-	// wanting the zero-allocation compiled runtime set BackendCompiled.
-	// The backend never enters cache keys: by the determinism theorem all
-	// backends produce interchangeable outcomes (the three-way differential
-	// test enforces it).
-	Backend nsa.Backend
 	// Tool names the diag reports of failed jobs; "" means "jobs".
 	Tool string
 	// Logger receives structured job-lifecycle events (queued, started,
@@ -193,10 +186,6 @@ func (p *Pool) Resilience() *obs.Resilience { return p.res }
 // Faults returns the pool's worker-site fault injector, nil when disabled.
 func (p *Pool) Faults() *fault.Injector { return p.faults }
 
-// Backend returns the engine backend the pool stamps onto runs that do
-// not pin one themselves.
-func (p *Pool) Backend() nsa.Backend { return p.opts.Backend }
-
 // Degraded reports whether the disk tier is currently tripped into
 // memory-only mode — the /readyz signal.
 func (p *Pool) Degraded() bool { return p.breaker.Tripped() }
@@ -237,23 +226,6 @@ func (p *Pool) SubmitTraced(r Runner, b nsa.Budget, tc obs.TraceContext) (Job, e
 // queued, or rejected with ErrQueueFull when the queue is at capacity.
 // The returned Job is a snapshot; poll with Get or block with Wait.
 func (p *Pool) submit(r Runner, b nsa.Budget, tc obs.TraceContext) (Job, error) {
-	// Stamp the pool's engine backend onto runners that didn't pin one.
-	// Keys are computed after and without it: backends are outcome-
-	// interchangeable, so a cached result answers any backend's run.
-	if p.opts.Backend != nsa.BackendEvent {
-		switch rr := r.(type) {
-		case ConfigRun:
-			if rr.Backend == nsa.BackendEvent {
-				rr.Backend = p.opts.Backend
-				r = rr
-			}
-		case XTARun:
-			if rr.Backend == nsa.BackendEvent {
-				rr.Backend = p.opts.Backend
-				r = rr
-			}
-		}
-	}
 	key := r.Key()
 	now := time.Now()
 	// The job's anchor span: a child of the caller's (ingress or

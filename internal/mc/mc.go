@@ -133,9 +133,9 @@ func ExploreContext(ctx context.Context, net *nsa.Network, opts Options) (res Re
 	visited := make(map[[16]byte]struct{})
 	var keyBuf []byte
 	hasher := fnv.New128a()
-	// enum computes enabled transitions through the network's static
-	// interpretation index (pre-classified edges, compiled guards); each call
-	// returns freshly allocated transitions, which DFS frames retain.
+	// enum computes enabled transitions through the network's compiled form
+	// (pre-classified edges, the engine's guard tiers); each call returns
+	// freshly allocated transitions, which DFS frames retain.
 	enum := nsa.NewEnumerator(net)
 	enum.Probe = opts.Probe
 

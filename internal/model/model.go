@@ -321,8 +321,8 @@ func (m *Model) SimulateContext(ctx context.Context, ch nsa.Chooser, b nsa.Budge
 }
 
 // SimulateEngine interprets the model with caller-supplied engine options
-// (e.g. Naive or CheckEngine for differential validation of the
-// event-driven runtime). The model fills in its horizon and appends the
+// (e.g. BackendNaive or CheckEngine for differential validation of the
+// compiled runtime). The model fills in its horizon and appends the
 // trace-building listener; the remaining options pass through.
 func (m *Model) SimulateEngine(ctx context.Context, opts nsa.Options) (*trace.Trace, nsa.Result, error) {
 	tb := m.NewTraceBuilder()

@@ -49,9 +49,6 @@ func Prepare(sys *config.System, backend nsa.Backend) (*Prepared, error) {
 	return &Prepared{M: m, eng: eng, probe: probe}, nil
 }
 
-// Backend reports the engine backend the prepared engine runs on.
-func (p *Prepared) Backend() nsa.Backend { return p.eng.Backend() }
-
 // Simulate interprets one hyperperiod on the persistent engine: Reset
 // (after the first use), re-arm the probe and per-run options, Run. The
 // returned probe is the engine's shared one, zeroed at the start of this

@@ -50,7 +50,7 @@ func freshRun(t *testing.T, sys *config.System, backend nsa.Backend) (*trace.Tra
 // not rewound, a leftover deadline heap entry) diverges here.
 func TestPreparedNoStateLeakage(t *testing.T) {
 	sysA, sysB := preparedSystems()
-	for _, backend := range []nsa.Backend{nsa.BackendEvent, nsa.BackendCompiled, nsa.BackendNaive} {
+	for _, backend := range []nsa.Backend{nsa.BackendCompiled, nsa.BackendNaive} {
 		t.Run(backend.String(), func(t *testing.T) {
 			trA, resA, anA := freshRun(t, sysA, backend)
 			trB, resB, anB := freshRun(t, sysB, backend)

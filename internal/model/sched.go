@@ -14,7 +14,7 @@ import (
 // between the TS implementations. Decisions read the shared readiness,
 // priority, deadline and cur variables plus the per-task response-time
 // clocks (the aliveness test compares rt against the relative deadline);
-// the read footprints are declared so the event-driven interpreter
+// the read footprints are declared so the engine's compiled runtime
 // re-evaluates scheduler guards only when one of those inputs changes.
 type policyLogic struct {
 	// pick returns the task index to dispatch, or -1 when none is ready.

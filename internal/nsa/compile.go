@@ -12,7 +12,8 @@ import (
 // compiled into expression bytecode where possible with closure and opaque
 // fallbacks, and invariants are flattened into atom arrays with a dedicated
 // constant-bound fast path. One compiledNet is built per Network by
-// Builder.Build and shared, immutably, by every compiledRuntime over it.
+// Builder.Build and shared, immutably, by every compiledRuntime and
+// Enumerator over it.
 type compiledNet struct {
 	// locBase[ai] + int(loc) is the dense ID of location loc of automaton
 	// ai, indexing locs.
@@ -23,9 +24,9 @@ type compiledNet struct {
 	cmps    []expr.CmpConst // flattened compare-const conjunctions (gCmpList)
 	fns     []expr.BoolFn   // guard closures (gClosure)
 	slows   []sa.Guard      // opaque guards (gOpaque), evaluated via the env
-	wakers  []sa.Waker     // guard wake-up providers, referenced by cedge.waker
-	updates []cupdate      // edge updates, referenced by updOf
-	invs    []cinv         // location invariants, referenced by cloc.inv
+	wakers  []sa.Waker      // guard wake-up providers, referenced by cedge.waker
+	updates []cupdate       // edge updates, referenced by updOf
+	invs    []cinv          // location invariants, referenced by cloc.inv
 	domains []expr.VarDomain
 
 	// updOf[ai][ei] indexes updates for edge ei of automaton ai; -1 means no
@@ -160,7 +161,7 @@ func buildCompiledNet(n *Network) *compiledNet {
 			c := cloc{
 				inv:            cn.addInvariant(loc.Invariant),
 				committed:      loc.Committed,
-				clockSensitive: idx.locs[ai][li].clockSensitive,
+				clockSensitive: idx.clockSensitive[ai][li],
 			}
 			for _, ei := range a.EdgesFrom(sa.LocID(li)) {
 				c.edges = append(c.edges, cn.compileEdge(a, ei))
@@ -288,4 +289,53 @@ func (cn *compiledNet) addInvariant(inv sa.Invariant) int32 {
 // loc returns the dense-form location automaton ai occupies in s.
 func (cn *compiledNet) loc(ai int32, s *State) *cloc {
 	return &cn.locs[cn.locBase[ai]+int32(s.Locs[ai])]
+}
+
+// evalGuard evaluates one pre-classified guard against raw state arrays,
+// cheapest tier first. regs is bytecode scratch of at least maxRegs; env
+// must view the same state and is consulted only by opaque guards.
+func (cn *compiledNet) evalGuard(ce *cedge, vars, clocks, regs []int64, env expr.Env) bool {
+	switch ce.gkind {
+	case gTrue:
+		return true
+	case gVarCmpK:
+		return cmpConst(vars[ce.gidx], ce.gop, ce.gk)
+	case gClockCmpK:
+		return cmpConst(clocks[ce.gidx], ce.gop, ce.gk)
+	case gCmpList:
+		for i := ce.gidx; i < ce.gidx+ce.gn; i++ {
+			c := &cn.cmps[i]
+			v := vars
+			if c.IsClock {
+				v = clocks
+			}
+			if !cmpConst(v[c.Idx], c.Op, c.K) {
+				return false
+			}
+		}
+		return true
+	case gProg:
+		return cn.progs[ce.gidx].EvalBool(vars, clocks, regs)
+	case gClosure:
+		return cn.fns[ce.gidx](vars, clocks)
+	default: // gOpaque
+		return guardHolds(cn.slows[ce.gidx], env)
+	}
+}
+
+func cmpConst(v int64, op expr.Op, k int64) bool {
+	switch op {
+	case expr.OpLT:
+		return v < k
+	case expr.OpLE:
+		return v <= k
+	case expr.OpGT:
+		return v > k
+	case expr.OpGE:
+		return v >= k
+	case expr.OpEQ:
+		return v == k
+	default: // OpNE
+		return v != k
+	}
 }

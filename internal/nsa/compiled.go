@@ -6,10 +6,15 @@ import (
 	"stopwatchsim/internal/sa"
 )
 
-// compiledRuntime is the compiled interpretation backend: it executes the
+// compiledRuntime is the engine's interpretation hot path: it executes the
 // network's flat compiledNet form against a persistent structure-of-arrays
-// scratch arena, allocating nothing on the steady-state hot path. Beyond the
-// event-driven runtime's dirty tracking it adds three mechanisms:
+// scratch arena, allocating nothing on the steady-state hot path. After each
+// step it re-evaluates only the automata the step may have affected —
+// transition participants, readers of the variables and clocks the
+// transition wrote (per the static write footprints in netIndex), readers
+// of clocks whose stopped status flipped, and, after a delay, the automata
+// whose current location has a clock-dependent guard. Three mechanisms keep
+// that cheap:
 //
 //   - Guards and updates run as inlined comparisons or expression bytecode
 //     (compiledNet), not closure chains, with one shared register file.
@@ -23,9 +28,12 @@ import (
 //     expiry and guard wake-up once, when the instant's delay bound is
 //     finally queried, not once per action.
 //
-// The semantics contract is byte-identical to the naive and event-driven
-// paths, including SemanticsError messages; engine CheckEngine mode chains
-// all three.
+// Invariant expiries and guard wake-up points live in lazily invalidated
+// min-heaps keyed by absolute model time. The runtime owns its State for the
+// duration of a run: all mutations must go through fire and advance, or the
+// caches go stale. The semantics contract is byte-identical to the naive
+// path, including SemanticsError messages; engine CheckEngine mode compares
+// the two at every step.
 type compiledRuntime struct {
 	net *Network
 	cn  *compiledNet
@@ -67,9 +75,9 @@ type compiledRuntime struct {
 	activeBcast autSet
 
 	// cl holds the persistent per-channel half lists, sorted by (aut, edge).
-	// Unlike the event runtime the lists are maintained incrementally and
-	// never reset between steps; cl.touched is refilled from activeCh when
-	// the full candidate enumeration needs it.
+	// The lists are maintained incrementally and never reset between
+	// steps; cl.touched is refilled from activeCh when the full candidate
+	// enumeration needs it.
 	cl    *chanLists
 	arena partsArena
 
@@ -90,7 +98,7 @@ type compiledRuntime struct {
 	scrRecv []halfRef
 	scrWake []int32
 
-	probe *obs.Probe
+	probe                                   *obs.Probe
 	statGuard, statByte, statSlow, statPush int64
 	statDl, statUnchanged, statFirst        int64
 }
@@ -130,8 +138,9 @@ func newCompiledRuntime(net *Network, s *State, probe *obs.Probe) *compiledRunti
 	return r
 }
 
-// seed derives all incremental state from the current State and marks both
-// dirt planes everywhere, like newEngineRuntime's constructor loop.
+// seed derives all incremental state from the current State (committed
+// count, stopped-clock counters, clock-sensitive set) and marks both dirt
+// planes everywhere. Called at construction and by reset.
 func (r *compiledRuntime) seed() {
 	for ai := range r.net.Automata {
 		loc := int(r.s.Locs[ai])
@@ -214,53 +223,6 @@ func (r *compiledRuntime) dirtyAllBoth() {
 	}
 }
 
-// evalGuard evaluates one pre-classified guard, cheapest tier first.
-func (r *compiledRuntime) evalGuard(ce *cedge) bool {
-	switch ce.gkind {
-	case gTrue:
-		return true
-	case gVarCmpK:
-		return cmpConst(r.s.Vars[ce.gidx], ce.gop, ce.gk)
-	case gClockCmpK:
-		return cmpConst(r.s.Clocks[ce.gidx], ce.gop, ce.gk)
-	case gCmpList:
-		for i := ce.gidx; i < ce.gidx+ce.gn; i++ {
-			c := &r.cn.cmps[i]
-			v := r.s.Vars
-			if c.IsClock {
-				v = r.s.Clocks
-			}
-			if !cmpConst(v[c.Idx], c.Op, c.K) {
-				return false
-			}
-		}
-		return true
-	case gProg:
-		return r.cn.progs[ce.gidx].EvalBool(r.s.Vars, r.s.Clocks, r.regs)
-	case gClosure:
-		return r.cn.fns[ce.gidx](r.s.Vars, r.s.Clocks)
-	default: // gOpaque
-		return guardHolds(r.cn.slows[ce.gidx], &r.env)
-	}
-}
-
-func cmpConst(v int64, op expr.Op, k int64) bool {
-	switch op {
-	case expr.OpLT:
-		return v < k
-	case expr.OpLE:
-		return v <= k
-	case expr.OpGT:
-		return v > k
-	case expr.OpGE:
-		return v >= k
-	case expr.OpEQ:
-		return v == k
-	default: // OpNE
-		return v != k
-	}
-}
-
 // settle recomputes the enabled sets of every dirty automaton (plus the
 // always-dirty ones). Both query paths (first, enabled) and delayBound call
 // it; on a clean plane it is a no-op.
@@ -310,7 +272,7 @@ func (r *compiledRuntime) recomputeEnabled(ai int32) {
 				r.statSlow++
 			}
 		}
-		if r.evalGuard(ce) {
+		if r.cn.evalGuard(ce, r.s.Vars, r.s.Clocks, r.regs, &r.env) {
 			switch ce.dir {
 			case sa.NoSync:
 				r.scrInt = append(r.scrInt, ce.edge)

@@ -108,44 +108,34 @@ func (t *SyncTrace) OnTransition(time int64, tr *Transition, _ *Network, _ *Stat
 type Backend uint8
 
 const (
-	// BackendEvent is the event-driven runtime (runtime.go): cached enabled
-	// sets invalidated through static read/write footprints, deadline heaps.
-	// The default.
-	BackendEvent Backend = iota
 	// BackendCompiled executes the network's flat compiled form
 	// (compile.go, compiled.go): expression bytecode, persistent
 	// synchronization lists, batched same-instant deadline processing, zero
-	// steady-state allocation.
-	BackendCompiled
+	// steady-state allocation. The default.
+	BackendCompiled Backend = iota
 	// BackendNaive re-enumerates every transition from scratch each step
-	// through Network.EnabledTransitions / DelayBound. The oracle the other
-	// two are checked against.
+	// through Network.EnabledTransitions / DelayBound. The oracle the
+	// compiled backend is checked against.
 	BackendNaive
 )
 
 func (b Backend) String() string {
-	switch b {
-	case BackendCompiled:
-		return "compiled"
-	case BackendNaive:
+	if b == BackendNaive {
 		return "naive"
-	default:
-		return "event"
 	}
+	return "compiled"
 }
 
-// ParseBackend maps the flag spellings "event", "compiled" and "naive" onto
-// Backend values.
+// ParseBackend maps the flag spellings "compiled" and "naive" onto Backend
+// values.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "event":
-		return BackendEvent, nil
 	case "compiled":
 		return BackendCompiled, nil
 	case "naive":
 		return BackendNaive, nil
 	}
-	return BackendEvent, fmt.Errorf("nsa: unknown engine backend %q (want event, compiled or naive)", s)
+	return BackendCompiled, fmt.Errorf("nsa: unknown engine backend %q (want compiled or naive)", s)
 }
 
 // Options configure a run.
@@ -171,17 +161,12 @@ type Options struct {
 	// DefaultDiagTraceDepth; negative disables the recording.
 	DiagTraceDepth int
 	// Backend selects the interpretation strategy; the zero value is the
-	// event-driven runtime.
+	// compiled runtime.
 	Backend Backend
-	// Naive is the legacy spelling of Backend: BackendNaive. When set it
-	// overrides Backend.
-	Naive bool
-	// CheckEngine cross-checks the interpretation paths after every step.
-	// Under BackendEvent the event-driven candidate list and delay bounds
-	// are verified against a fresh naive enumeration; under BackendCompiled
-	// the compiled runtime is additionally shadowed by an event-driven
-	// runtime over the same state, chaining all three backends. Any
-	// divergence fails the run. Ignored under BackendNaive.
+	// CheckEngine verifies the compiled runtime after every step: its
+	// candidate list and delay bounds must equal a fresh naive enumeration
+	// of the same state. Any divergence fails the run. Ignored under
+	// BackendNaive.
 	CheckEngine bool
 	// Probe, when non-nil, collects hot-path counters (transitions by
 	// kind, guard evaluations, enabled-cache effectiveness, deadline-heap
@@ -218,7 +203,8 @@ type Result struct {
 // The zero value is not usable; create one with NewEngine. An Engine is
 // reusable: Reset restores the initial state while keeping the runtime
 // caches, the budget tracker and the diagnostic ring allocated, so a
-// Reset+Run cycle allocates nothing in steady state under BackendCompiled.
+// Reset+Run cycle allocates nothing in steady state on the default
+// compiled backend.
 type Engine struct {
 	net  *Network
 	s    *State
@@ -226,12 +212,10 @@ type Engine struct {
 	opts Options
 
 	// Persistent per-engine scratch, reused across runs.
-	rt     *engineRuntime
 	crt    *compiledRuntime
 	trk    Tracker
 	ring   *traceRing
 	cands  []Transition
-	shadow []Transition
 	keyBuf []byte
 	tr     Transition // the step's chosen transition (persistent so taking
 	// its address for listeners does not force a per-step heap allocation)
@@ -245,18 +229,12 @@ func NewEngine(net *Network, opts Options) *Engine {
 	if opts.MaxActionsPerInstant == 0 {
 		opts.MaxActionsPerInstant = 10_000_000
 	}
-	if opts.Naive {
-		opts.Backend = BackendNaive
-	}
 	s := net.InitialState()
 	return &Engine{net: net, s: s, init: s.Clone(), opts: opts}
 }
 
 // State exposes the engine's current state (mutated by Run).
 func (e *Engine) State() *State { return e.s }
-
-// Backend reports the engine's interpretation backend.
-func (e *Engine) Backend() Backend { return e.opts.Backend }
 
 // Reset restores the engine to the network's initial state in place,
 // keeping every allocation (runtime caches, heaps, arenas, the diagnostic
@@ -266,9 +244,6 @@ func (e *Engine) Reset() {
 	copy(e.s.Clocks, e.init.Clocks)
 	copy(e.s.Vars, e.init.Vars)
 	e.s.Time = e.init.Time
-	if e.rt != nil {
-		e.rt.reset()
-	}
 	if e.crt != nil {
 		e.crt.reset()
 	}
@@ -353,11 +328,11 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 	}
 	ring := e.ring
 	defer func() {
-		// Engine boundary: expression-evaluation panics that escape Fire's
-		// per-transition recovery (guard and invariant evaluation inside
-		// EnabledTransitions / DelayBound) become structured errors instead
-		// of crashing the caller. Non-RuntimeError panics are programmer
-		// errors and propagate.
+		// Engine boundary: expression-evaluation panics that escape the
+		// per-transition recovery of firing (guard and invariant evaluation
+		// while computing enabled sets and delay bounds, on either backend)
+		// become structured errors instead of crashing the caller.
+		// Non-RuntimeError panics are programmer errors and propagate.
 		if r := recover(); r != nil {
 			re, ok := r.(*expr.RuntimeError)
 			if !ok {
@@ -382,38 +357,21 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 			fl.Record(obs.FlightSeed, e.s.Time, sd.ChooserSeed(), 0, "")
 		}
 	}
-	var rt *engineRuntime
-	var crt *compiledRuntime
-	switch e.opts.Backend {
-	case BackendNaive:
-	case BackendCompiled:
+	var crt *compiledRuntime // nil under BackendNaive
+	if e.opts.Backend != BackendNaive {
 		if e.crt == nil {
 			e.crt = newCompiledRuntime(e.net, e.s, probe)
 		}
 		crt = e.crt
 		defer crt.flushStats()
-		if e.opts.CheckEngine {
-			// Shadow event-driven runtime over the same State: the compiled
-			// runtime mutates, the shadow tracks via afterFire/afterAdvance,
-			// and their candidate lists and delay bounds must agree exactly.
-			if e.rt == nil {
-				e.rt = newEngineRuntime(e.net, e.s, nil)
-			}
-			rt = e.rt
-		}
-	default:
-		if e.rt == nil {
-			e.rt = newEngineRuntime(e.net, e.s, probe)
-		}
-		rt = e.rt
-		defer rt.flushStats()
 	}
+	check := crt != nil && e.opts.CheckEngine
 	// The first-transition fast path: with the deterministic default chooser
 	// and no per-step observers that need the full list, the compiled
 	// runtime selects the first canonical transition directly instead of
 	// materializing every candidate.
 	_, isFirst := e.opts.Chooser.(FirstChooser)
-	useFirst := crt != nil && !e.opts.CheckEngine && lg == nil && isFirst
+	useFirst := crt != nil && !check && lg == nil && isFirst
 	cands := e.cands[:0]
 	instant := e.s.Time
 	actionsThisInstant := 0
@@ -424,26 +382,14 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 		if useFirst {
 			e.tr, haveTr = crt.first()
 		} else {
-			switch {
-			case crt != nil:
+			if crt != nil {
 				cands = crt.enabled(cands[:0])
-				if e.opts.CheckEngine {
-					e.shadow = rt.enabled(e.shadow[:0])
-					if err := e.compareBackends(cands, e.shadow); err != nil {
-						return res, err
-					}
+				if check {
 					if err := e.checkEnabled(cands); err != nil {
 						return res, err
 					}
 				}
-			case rt != nil:
-				cands = rt.enabled(cands[:0])
-				if e.opts.CheckEngine {
-					if err := e.checkEnabled(cands); err != nil {
-						return res, err
-					}
-				}
-			default:
+			} else {
 				cands = e.net.EnabledTransitions(e.s, cands[:0])
 			}
 			haveTr = len(cands) > 0
@@ -493,15 +439,9 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 			tr := &e.tr
 			fireTime := e.s.Time
 			var ferr error
-			switch {
-			case crt != nil:
+			if crt != nil {
 				ferr = crt.fire(tr)
-				if ferr == nil && rt != nil {
-					rt.afterFire(tr, crt.oldLocs)
-				}
-			case rt != nil:
-				ferr = rt.fire(tr)
-			default:
+			} else {
 				ferr = e.net.Fire(e.s, tr)
 			}
 			if ferr != nil {
@@ -550,25 +490,14 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 			return res, nil
 		}
 		var info DelayInfo
-		switch {
-		case crt != nil:
+		if crt != nil {
 			info = crt.delayBound()
-			if e.opts.CheckEngine {
-				if evInfo := rt.delayBound(); evInfo != info {
-					return res, fmt.Errorf("nsa: engine check: at time %d delay divergence: compiled %+v, event %+v", e.s.Time, info, evInfo)
-				}
+			if check {
 				if want := e.net.DelayBound(e.s); want != info {
-					return res, fmt.Errorf("nsa: engine check: at time %d delay divergence: optimized %+v, naive %+v", e.s.Time, info, want)
+					return res, fmt.Errorf("nsa: engine check: at time %d delay divergence: compiled %+v, naive %+v", e.s.Time, info, want)
 				}
 			}
-		case rt != nil:
-			info = rt.delayBound()
-			if e.opts.CheckEngine {
-				if want := e.net.DelayBound(e.s); want != info {
-					return res, fmt.Errorf("nsa: engine check: at time %d delay divergence: optimized %+v, naive %+v", e.s.Time, info, want)
-				}
-			}
-		default:
+		} else {
 			info = e.net.DelayBound(e.s)
 		}
 		if info.Blocked {
@@ -601,15 +530,9 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 			d = remaining
 		}
 		var aerr error
-		switch {
-		case crt != nil:
+		if crt != nil {
 			aerr = crt.advance(d)
-			if aerr == nil && rt != nil {
-				rt.afterAdvance()
-			}
-		case rt != nil:
-			aerr = rt.advance(d)
-		default:
+		} else {
 			aerr = e.net.Advance(e.s, d)
 		}
 		if aerr != nil {
@@ -631,37 +554,7 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 	}
 }
 
-// compareBackends verifies the compiled and event-driven candidate lists
-// agree exactly (CheckEngine under BackendCompiled).
-func (e *Engine) compareBackends(compiled, event []Transition) error {
-	mismatch := len(compiled) != len(event)
-	if !mismatch {
-		for i := range compiled {
-			if !sameTransition(&compiled[i], &event[i]) {
-				mismatch = true
-				break
-			}
-		}
-	}
-	if !mismatch {
-		return nil
-	}
-	return fmt.Errorf("nsa: engine check: at time %d enabled-set divergence:\ncompiled (%d): %s\nevent    (%d): %s",
-		e.s.Time, len(compiled), formatTransitions(e.net, compiled), len(event), formatTransitions(e.net, event))
-}
-
-func formatTransitions(n *Network, ts []Transition) string {
-	out := ""
-	for i := range ts {
-		if i > 0 {
-			out += "; "
-		}
-		out += ts[i].String(n)
-	}
-	return "[" + out + "]"
-}
-
-// checkEnabled compares the event-driven runtime's candidate list against a
+// checkEnabled compares the compiled runtime's candidate list against a
 // fresh naive enumeration of the same state (CheckEngine mode).
 func (e *Engine) checkEnabled(cands []Transition) error {
 	want := e.net.EnabledTransitions(e.s, nil)
@@ -687,7 +580,7 @@ func (e *Engine) checkEnabled(cands []Transition) error {
 		}
 		return "[" + out + "]"
 	}
-	return fmt.Errorf("nsa: engine check: at time %d enabled-set divergence:\noptimized (%d): %s\nnaive     (%d): %s",
+	return fmt.Errorf("nsa: engine check: at time %d enabled-set divergence:\ncompiled (%d): %s\nnaive    (%d): %s",
 		e.s.Time, len(cands), format(cands), len(want), format(want))
 }
 

@@ -1,6 +1,7 @@
 package nsa
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -253,5 +254,47 @@ func TestLocationString(t *testing.T) {
 	got := net.LocationString(s)
 	if !strings.Contains(got, "A.Wait") || !strings.Contains(got, "B.Idle") {
 		t.Errorf("LocationString = %q", got)
+	}
+}
+
+// TestGuardPanicSameErrorOnBothBackends drives an expression-guard panic
+// through the engine's recover boundary: the guard 10 / x > 0 compiles to
+// bytecode and becomes reachable at t = 2 with x == 0. The compiled and
+// naive backends must report the identical *SemanticsError.
+func TestGuardPanicSameErrorOnBothBackends(t *testing.T) {
+	b := NewBuilder()
+	b.Var("x", 1)
+	ck := b.Clock("t")
+	sc := b.Scope()
+	ab := sa.NewBuilder("A")
+	ab.OwnClock(ck)
+	l0 := ab.Loc("L0", sa.WithInvariant(mustInv(t, "t <= 2", sc)))
+	l1 := ab.Loc("L1")
+	l2 := ab.Loc("L2")
+	ab.Init(l0)
+	ab.Edge(l0, l1, sa.NewExprGuard(expr.MustParseResolve("t == 2", sc, expr.TypeBool)), sa.None,
+		&sa.ExprUpdate{Stmts: expr.MustParseResolveUpdate("x := 0", sc)})
+	ab.Edge(l1, l2, sa.NewExprGuard(expr.MustParseResolve("10 / x > 0", sc, expr.TypeBool)), sa.None, nil)
+	b.Add(ab.MustBuild())
+	net := b.MustBuild()
+
+	cn := net.compiled()
+	if g := cn.locs[cn.locBase[0]+int32(l1)].edges[0].gkind; g != gProg {
+		t.Fatalf("guard tier = %d, want gProg (%d)", g, gProg)
+	}
+	var msgs []string
+	for _, bk := range []Backend{BackendCompiled, BackendNaive} {
+		_, err := NewEngine(net, Options{Horizon: 10, Backend: bk}).Run()
+		var se *SemanticsError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: err = %v, want *SemanticsError", bk, err)
+		}
+		if se.Time != 2 || !strings.Contains(se.Msg, "division by zero") {
+			t.Errorf("%s: err = %v, want division by zero at t=2", bk, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Errorf("backends disagree:\n compiled: %s\n naive:    %s", msgs[0], msgs[1])
 	}
 }

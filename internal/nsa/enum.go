@@ -160,38 +160,41 @@ func (n *Network) emitBroadcastCombos(buf []Transition, ch sa.ChanID, snd Part, 
 }
 
 // Enumerator computes the enabled transitions of arbitrary states of one
-// network through the static interpretation index: per-location edges come
-// pre-classified by channel and direction with compiled guards, so a call
-// costs the enabled halves of the current locations rather than a full
-// Sync-label scan with per-state map allocations. Unlike the engine runtime
-// it keeps no cross-state caches, so states may be presented in any order —
-// this is the model checker's enumeration path.
+// network through its compiled form (the compiledNet the engine's runtime
+// executes): per-location edges come pre-classified by channel and
+// direction with tiered guards, so a call costs the enabled halves of the
+// current locations rather than a full Sync-label scan with per-state map
+// allocations. Unlike the engine runtime it keeps no cross-state caches, so
+// states may be presented in any order — this is the model checker's
+// enumeration path.
 //
 // Returned transitions and their Parts are freshly allocated per call and
 // may be retained indefinitely by the caller. An Enumerator is not safe for
 // concurrent use.
 type Enumerator struct {
-	net *Network
-	idx *netIndex
-	cl  *chanLists
-	env stateEnv
+	net  *Network
+	cn   *compiledNet
+	cl   *chanLists
+	env  stateEnv
+	regs []int64 // bytecode scratch (cn.maxRegs)
 
 	// Probe, when non-nil, counts enabled-set queries and guard
-	// evaluations (the exploration analogue of the engine's hot-path
-	// probe). Set it before the first Enabled call.
+	// evaluations by tier (the exploration analogue of the engine's
+	// hot-path probe). Set it before the first Enabled call.
 	Probe *obs.Probe
 }
 
 // NewEnumerator returns an enumerator over net.
 func NewEnumerator(net *Network) *Enumerator {
-	return &Enumerator{net: net, idx: net.index(), cl: newChanLists(len(net.Chans))}
+	cn := net.compiled()
+	return &Enumerator{net: net, cn: cn, cl: newChanLists(len(net.Chans)), regs: make([]int64, cn.maxRegs)}
 }
 
 // Enabled returns the enabled transitions of s in the same canonical order,
 // and with the same committed-location and process-priority filters, as
 // Network.EnabledTransitions.
 func (en *Enumerator) Enabled(s *State) []Transition {
-	n := en.net
+	n, cn := en.net, en.cn
 	en.env.n = n
 	en.env.s = s
 	committed := n.anyCommitted(s)
@@ -200,35 +203,33 @@ func (en *Enumerator) Enabled(s *State) []Transition {
 	var buf []Transition
 	vars, clocks := s.Vars, s.Clocks
 	counting := en.Probe != nil
-	var evals, fast, opaque int64
+	var evals, bytecode, opaque int64
 	for ai := range n.Automata {
-		li := &en.idx.locs[ai][s.Locs[ai]]
-		for i := range li.edges {
-			e := &li.edges[i]
-			if e.dir == sa.NoSync && committed && !li.committed {
+		c := cn.loc(int32(ai), s)
+		for i := range c.edges {
+			ce := &c.edges[i]
+			if ce.dir == sa.NoSync && committed && !c.committed {
 				continue
 			}
 			if counting {
 				evals++
-				if e.fast != nil {
-					fast++
-				} else if e.slow != nil {
+				switch ce.gkind {
+				case gVarCmpK, gClockCmpK, gCmpList, gProg:
+					bytecode++
+				case gOpaque:
 					opaque++
 				}
 			}
-			switch e.dir {
+			if !cn.evalGuard(ce, vars, clocks, en.regs, &en.env) {
+				continue
+			}
+			switch ce.dir {
 			case sa.NoSync:
-				if e.evalGuard(vars, clocks, &en.env) {
-					buf = append(buf, Transition{Kind: Internal, Chan: sa.NoChan, Parts: arena.one(Part{ai, int(e.edge)})})
-				}
+				buf = append(buf, Transition{Kind: Internal, Chan: sa.NoChan, Parts: arena.one(Part{ai, int(ce.edge)})})
 			case sa.Send:
-				if e.evalGuard(vars, clocks, &en.env) {
-					en.cl.addSend(n, e.ch, half{ai, int(e.edge)})
-				}
+				en.cl.addSend(n, ce.ch, half{ai, int(ce.edge)})
 			case sa.Recv:
-				if e.evalGuard(vars, clocks, &en.env) {
-					en.cl.addRecv(n, e.ch, half{ai, int(e.edge)})
-				}
+				en.cl.addRecv(n, ce.ch, half{ai, int(ce.edge)})
 			}
 		}
 	}
@@ -236,7 +237,8 @@ func (en *Enumerator) Enabled(s *State) []Transition {
 	if p := en.Probe; p != nil {
 		p.EnabledCalls.Add(1)
 		p.GuardEvals.Add(evals)
-		p.GuardCompiled.Add(fast)
+		p.GuardCompiled.Add(evals - opaque)
+		p.GuardBytecode.Add(bytecode)
 		p.GuardOpaque.Add(opaque)
 	}
 	return n.filterPriority(buf)

@@ -7,16 +7,16 @@ import (
 	"stopwatchsim/internal/sa"
 )
 
-// netIndex is the static interpretation index of a network, built once per
-// Network on first use and shared by every engine and enumerator over it.
-// It pre-classifies each location's outgoing edges by synchronization
-// channel and direction, compiles expression guards into closures, and
-// inverts guard/invariant read sets into variable→reader and clock→reader
-// lists so the incremental engine runtime can re-evaluate only the automata
-// a fired transition may have affected.
+// netIndex is the static dependency index of a network, built once per
+// Network and shared by every compiled runtime over it. It inverts guard
+// and invariant read sets into variable→reader and clock→reader lists and
+// records each edge's write footprint, so the runtime can re-evaluate only
+// the automata a fired transition may have affected.
 type netIndex struct {
-	// locs[ai][li] describes location li of automaton ai.
-	locs [][]locInfo
+	// clockSensitive[ai][li] is true when some outgoing guard of location li
+	// of automaton ai may change truth value under a time advance; the
+	// runtime re-evaluates such automata after every delay transition.
+	clockSensitive [][]bool
 
 	// varReaders[v] lists (ascending) the automata with a guard or
 	// invariant reading variable v somewhere.
@@ -39,46 +39,7 @@ type netIndex struct {
 	alwaysDirty []int32
 }
 
-// locInfo is the indexed form of one location of one automaton.
-type locInfo struct {
-	// edges lists the outgoing edges in ascending edge-index order, with
-	// compiled guards.
-	edges []edgeInfo
-	// inv is the location invariant (nil when trivially true); fastInv is
-	// its compiled form when expression-based.
-	inv     sa.Invariant
-	fastInv *expr.Invariant
-	// committed mirrors sa.Location.Committed.
-	committed bool
-	// clockSensitive is true when some outgoing guard may change truth
-	// value under a time advance; the runtime re-evaluates such automata
-	// after every delay transition.
-	clockSensitive bool
-}
-
-// edgeInfo is one pre-classified outgoing edge.
-type edgeInfo struct {
-	edge int32
-	dir  sa.SyncDir
-	ch   sa.ChanID // NoChan for internal edges
-	// fast is the compiled guard; nil means "evaluate slow via the env".
-	fast expr.BoolFn
-	slow sa.Guard // nil means trivially true (only when fast is also nil)
-	// waker is non-nil when the guard is clock-dependent and can report a
-	// wake-up delay (it may return expr.NoBound).
-	waker sa.Waker
-}
-
-// evalGuard evaluates the edge guard against the raw state arrays, falling
-// back to the interface path for opaque guards.
-func (e *edgeInfo) evalGuard(vars, clocks []int64, env expr.Env) bool {
-	if e.fast != nil {
-		return e.fast(vars, clocks)
-	}
-	return guardHolds(e.slow, env)
-}
-
-// index returns the network's interpretation index. Builder.Build constructs
+// index returns the network's dependency index. Builder.Build constructs
 // it eagerly; the lazy fallback covers networks assembled without the builder
 // (single-goroutine test helpers only — the fallback is not synchronized).
 func (n *Network) index() *netIndex {
@@ -90,12 +51,12 @@ func (n *Network) index() *netIndex {
 
 func buildIndex(n *Network) *netIndex {
 	idx := &netIndex{
-		locs:         make([][]locInfo, len(n.Automata)),
-		varReaders:   make([][]int32, len(n.Vars)),
-		clockReaders: make([][]int32, len(n.Clocks)),
-		writeVars:    make([][][]int32, len(n.Automata)),
-		writeClocks:  make([][][]int32, len(n.Automata)),
-		writeUnknown: make([][]bool, len(n.Automata)),
+		clockSensitive: make([][]bool, len(n.Automata)),
+		varReaders:     make([][]int32, len(n.Vars)),
+		clockReaders:   make([][]int32, len(n.Clocks)),
+		writeVars:      make([][][]int32, len(n.Automata)),
+		writeClocks:    make([][][]int32, len(n.Automata)),
+		writeUnknown:   make([][]bool, len(n.Automata)),
 	}
 	for ai, a := range n.Automata {
 		var readV, readC []int // accumulated read footprint of automaton ai
@@ -115,75 +76,50 @@ func buildIndex(n *Network) *netIndex {
 			idx.writeClocks[ai][ei] = sortedUnique32(wc)
 		}
 
-		// Per-location classified edges and invariant info.
-		idx.locs[ai] = make([]locInfo, len(a.Locations))
+		// Per-location read footprints and clock sensitivity.
+		sens := make([]bool, len(a.Locations))
+		idx.clockSensitive[ai] = sens
 		for li := range a.Locations {
-			loc := &a.Locations[li]
-			info := &idx.locs[ai][li]
-			info.committed = loc.Committed
-			if loc.Invariant != nil {
-				info.inv = loc.Invariant
-				if fi, ok := loc.Invariant.(*expr.Invariant); ok {
-					info.fastInv = fi
+			if inv := a.Locations[li].Invariant; inv != nil {
+				if fi, ok := inv.(*expr.Invariant); ok {
 					readV, readC = fi.AppendDeps(readV, readC)
 				} else {
 					unknown = true
-					info.clockSensitive = true
 				}
 			}
 			for _, ei := range a.EdgesFrom(sa.LocID(li)) {
-				e := &a.Edges[ei]
-				ef := edgeInfo{edge: int32(ei), dir: e.Sync.Dir, ch: sa.NoChan}
-				if e.Sync.Dir != sa.NoSync {
-					ef.ch = e.Sync.Chan
-				}
-				switch g := e.Guard.(type) {
+				before := len(readC)
+				switch g := a.Edges[ei].Guard.(type) {
 				case nil:
 					// Trivially true.
 				case *sa.ExprGuard:
-					ef.fast = expr.CompileBool(g.Node)
-					ef.slow = g
-					before := len(readC)
 					readV = expr.Vars(g.Node, readV)
 					readC = expr.Clocks(g.Node, readC)
-					if len(readC) > before {
-						ef.waker = g
-						info.clockSensitive = true
-					}
 				case *sa.GuardFunc:
-					ef.slow = g
-					before := len(readC)
 					v, c, ok := sa.GuardReads(g, readV, readC)
 					readV, readC = v, c
 					if !ok {
 						unknown = true
-						info.clockSensitive = true
-					} else if len(readC) > before {
-						info.clockSensitive = true
 					}
 					if g.NextEnableF != nil {
-						ef.waker = g
-						info.clockSensitive = true
+						sens[li] = true
 					}
 				default:
-					ef.slow = g
-					if w, ok := g.(sa.Waker); ok {
-						ef.waker = w
-					}
 					unknown = true
-					info.clockSensitive = true
 				}
-				info.edges = append(info.edges, ef)
+				if len(readC) > before {
+					sens[li] = true
+				}
 			}
 		}
 
 		if unknown {
 			idx.alwaysDirty = append(idx.alwaysDirty, int32(ai))
-			// An unknown guard can read anything, including clocks: make the
-			// automaton clock-sensitive everywhere so delay transitions also
-			// re-evaluate it.
-			for li := range idx.locs[ai] {
-				idx.locs[ai][li].clockSensitive = true
+			// An unknown guard or invariant can read anything, including
+			// clocks: make the automaton clock-sensitive everywhere so delay
+			// transitions also re-evaluate it.
+			for li := range sens {
+				sens[li] = true
 			}
 		}
 		for _, v := range sortedUnique32(readV) {

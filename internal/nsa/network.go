@@ -3,10 +3,12 @@
 // channels, committed locations, action and delay transitions, and
 // synchronization-event traces.
 //
-// The same successor computation (EnabledTransitions / Fire / DelayBound /
-// Advance) drives both the deterministic simulator (Engine) and the
-// exhaustive model checker in package mc, so the paper's Table 1 comparison
-// measures exploration strategy, not implementation differences.
+// The deterministic simulator (Engine) and the exhaustive model checker in
+// package mc evaluate guards through the same compiled form of the network
+// (compile.go), and the naive successor computation (EnabledTransitions /
+// Fire / DelayBound / Advance) is the reference semantics both are checked
+// against, so the paper's Table 1 comparison measures exploration strategy,
+// not implementation differences.
 package nsa
 
 import (
@@ -47,13 +49,13 @@ type Network struct {
 	consts map[string]int64
 	scope  expr.Scope
 
-	// idx is the static interpretation index (see index.go), built by
-	// Builder.Build and shared by all engines and enumerators over this
-	// network.
+	// idx is the static dependency index (see index.go), built by
+	// Builder.Build and shared by all compiled runtimes over this network.
 	idx *netIndex
 
 	// cnet is the flat compiled execution form (see compile.go), built by
-	// Builder.Build and shared by all compiled runtimes over this network.
+	// Builder.Build and shared by all compiled runtimes and enumerators
+	// over this network.
 	cnet *compiledNet
 }
 
@@ -258,9 +260,9 @@ func (b *Builder) MustBuild() *Network {
 	return n
 }
 
-// Reindex rebuilds the interpretation index and the compiled execution
-// form. Build constructs both once; callers that mutate automata afterwards
-// (test sabotage helpers) must reindex before interpreting the network again.
+// Reindex rebuilds the dependency index and the compiled execution form.
+// Build constructs both once; callers that mutate automata afterwards (test
+// sabotage helpers) must reindex before interpreting the network again.
 func (n *Network) Reindex() {
 	n.idx = buildIndex(n)
 	n.cnet = buildCompiledNet(n)

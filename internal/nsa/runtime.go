@@ -3,10 +3,11 @@ package nsa
 import (
 	"sort"
 
-	"stopwatchsim/internal/expr"
-	"stopwatchsim/internal/obs"
 	"stopwatchsim/internal/sa"
 )
+
+// This file holds the incremental bookkeeping structures of the compiled
+// runtime (compiled.go).
 
 // halfRef is a cached enabled synchronization half of one automaton: the
 // edge index and the channel it synchronizes on.
@@ -64,7 +65,7 @@ type heapEntry struct {
 // deletion: superseded entries stay in the heap until they surface at the
 // top (min) or a wholesale compaction removes them. pops and stale count
 // those two flavours of lazy deletion for the probe; the runtime drains
-// them in flushStats (plain int64s: a heap belongs to one run).
+// them in flushStats (plain int64s: a heap belongs to one runtime).
 type timeHeap struct {
 	e           []heapEntry
 	pops, stale int64
@@ -126,7 +127,7 @@ func (h *timeHeap) min(gens []uint32) (int64, bool) {
 
 // minEntry is min also reporting which automaton owns the top entry, for
 // callers that react to a surfaced deadline by recomputing its owner (the
-// compiled runtime's stale-wake reconciliation).
+// runtime's stale-wake reconciliation).
 func (h *timeHeap) minEntry(gens []uint32) (int64, int32, bool) {
 	for len(h.e) > 0 {
 		top := h.e[0]
@@ -154,478 +155,5 @@ func (h *timeHeap) compact(gens []uint32) {
 	h.stale += int64(before - len(h.e))
 	for i := len(h.e)/2 - 1; i >= 0; i-- {
 		h.down(i)
-	}
-}
-
-// engineRuntime is the event-driven interpretation hot path used by Engine.
-// It mirrors Network.EnabledTransitions / DelayBound / Fire / Advance but
-// re-evaluates, after each step, only the automata the step may have
-// affected: transition participants, readers of the variables and clocks the
-// transition wrote (per the static write footprints in netIndex), readers of
-// clocks whose stopped status flipped, and — after a delay — the automata
-// whose current location has a clock-dependent guard. Per-automaton enabled
-// edge sets are cached between steps; invariant expiries and guard wake-up
-// points live in lazily-invalidated min-heaps keyed by absolute model time.
-//
-// The runtime owns its State for the duration of a run: all mutations must
-// go through fire and advance, or the caches go stale.
-type engineRuntime struct {
-	net *Network
-	idx *netIndex
-	s   *State
-	env stateEnv
-
-	// Cached per-automaton enabled sets, valid unless dirty.
-	enInternal [][]int32   // enabled internal edges, ascending
-	enSend     [][]halfRef // enabled send halves, edge-ascending
-	enRecv     [][]halfRef // enabled receive halves, edge-ascending
-
-	// gen[ai] is bumped on every recompute of ai, invalidating its heap
-	// entries.
-	gen []uint32
-
-	isDirty []bool
-	dirty   []int32
-
-	activeInternal autSet // automata with ≥1 enabled internal edge
-	activeSync     autSet // automata with ≥1 enabled sync half
-	clockSens      autSet // automata whose current location is clock-sensitive
-
-	cl    *chanLists
-	arena partsArena
-
-	// Incrementally maintained stopped-clock state: stopCount[c] is the
-	// number of automata whose current location stops clock c.
-	stopCount []int32
-	stopped   []bool
-	running   func(int) bool
-
-	committedCount int
-
-	expiry timeHeap // invariant expiry deadlines (absolute)
-	wakes  timeHeap // guard wake-up points (absolute)
-
-	oldLocs []sa.LocID // scratch for fire
-
-	// probe, when non-nil, receives the hot-path counters. Guard
-	// evaluations and heap pushes accumulate in the stat* fields (plain
-	// locals of this single-threaded runtime) and are flushed to the
-	// atomic probe once per enabled() call, so enabling the probe adds
-	// one predictable branch per guard evaluation, not an atomic op.
-	probe                                   *obs.Probe
-	statGuard, statFast, statSlow, statPush int64
-}
-
-func newEngineRuntime(net *Network, s *State, probe *obs.Probe) *engineRuntime {
-	na := len(net.Automata)
-	r := &engineRuntime{
-		net:        net,
-		idx:        net.index(),
-		s:          s,
-		env:        stateEnv{n: net, s: s},
-		enInternal: make([][]int32, na),
-		enSend:     make([][]halfRef, na),
-		enRecv:     make([][]halfRef, na),
-		gen:        make([]uint32, na),
-		isDirty:    make([]bool, na),
-
-		activeInternal: newAutSet(na),
-		activeSync:     newAutSet(na),
-		clockSens:      newAutSet(na),
-
-		cl:        newChanLists(len(net.Chans)),
-		stopCount: make([]int32, len(net.Clocks)),
-		stopped:   make([]bool, len(net.Clocks)),
-		probe:     probe,
-	}
-	r.running = func(c int) bool { return !r.stopped[c] }
-	r.seed()
-	return r
-}
-
-// seed (re)derives all incremental state from the runtime's current State:
-// committed count, stopped-clock counters, clock-sensitive set, and marks
-// every automaton dirty so the caches rebuild on the next query. Called at
-// construction and by reset.
-func (r *engineRuntime) seed() {
-	for ai := range r.net.Automata {
-		loc := int(r.s.Locs[ai])
-		li := &r.idx.locs[ai][loc]
-		if li.committed {
-			r.committedCount++
-		}
-		if li.clockSensitive {
-			r.clockSens.insert(int32(ai))
-		}
-		for _, c := range r.net.Automata[ai].Locations[loc].Stopped {
-			r.stopCount[c]++
-			r.stopped[c] = true
-		}
-		r.markDirty(int32(ai))
-	}
-}
-
-// reset discards all cached incremental state and re-seeds it from the
-// runtime's State (which the caller has restored), keeping every allocation
-// for reuse. After reset the runtime behaves as if freshly constructed.
-func (r *engineRuntime) reset() {
-	for ai := range r.isDirty {
-		r.enInternal[ai] = r.enInternal[ai][:0]
-		r.enSend[ai] = r.enSend[ai][:0]
-		r.enRecv[ai] = r.enRecv[ai][:0]
-		r.isDirty[ai] = false
-	}
-	r.dirty = r.dirty[:0]
-	r.activeInternal.clear()
-	r.activeSync.clear()
-	r.clockSens.clear()
-	r.cl.reset()
-	r.arena.reset()
-	for c := range r.stopCount {
-		r.stopCount[c] = 0
-		r.stopped[c] = false
-	}
-	r.committedCount = 0
-	r.expiry.e = r.expiry.e[:0]
-	r.wakes.e = r.wakes.e[:0]
-	r.seed()
-}
-
-func (r *engineRuntime) markDirty(ai int32) {
-	if !r.isDirty[ai] {
-		r.isDirty[ai] = true
-		r.dirty = append(r.dirty, ai)
-	}
-}
-
-func (r *engineRuntime) dirtyList(ais []int32) {
-	for _, ai := range ais {
-		r.markDirty(ai)
-	}
-}
-
-func (r *engineRuntime) dirtyAll() {
-	for ai := range r.isDirty {
-		r.markDirty(int32(ai))
-	}
-}
-
-// recompute re-evaluates every guard of automaton ai's current location once,
-// refreshing its cached enabled sets, its active-set membership, and its heap
-// deadlines (invariant expiry and earliest guard wake-up, both absolute).
-func (r *engineRuntime) recompute(ai int32) {
-	s := r.s
-	li := &r.idx.locs[ai][s.Locs[ai]]
-	r.gen[ai]++
-	if len(r.expiry.e)+len(r.wakes.e) > 2*len(r.gen)+64 {
-		r.expiry.compact(r.gen)
-		r.wakes.compact(r.gen)
-	}
-
-	wasInt := len(r.enInternal[ai]) > 0
-	wasSync := len(r.enSend[ai])+len(r.enRecv[ai]) > 0
-	r.enInternal[ai] = r.enInternal[ai][:0]
-	r.enSend[ai] = r.enSend[ai][:0]
-	r.enRecv[ai] = r.enRecv[ai][:0]
-
-	vars, clocks := s.Vars, s.Clocks
-	counting := r.probe != nil
-	wake := expr.NoBound
-	for i := range li.edges {
-		e := &li.edges[i]
-		if counting {
-			r.statGuard++
-			if e.fast != nil {
-				r.statFast++
-			} else if e.slow != nil {
-				r.statSlow++
-			}
-		}
-		if e.evalGuard(vars, clocks, &r.env) {
-			switch e.dir {
-			case sa.NoSync:
-				r.enInternal[ai] = append(r.enInternal[ai], e.edge)
-			case sa.Send:
-				r.enSend[ai] = append(r.enSend[ai], halfRef{e.edge, e.ch})
-			case sa.Recv:
-				r.enRecv[ai] = append(r.enRecv[ai], halfRef{e.edge, e.ch})
-			}
-		} else if e.waker != nil {
-			if d := e.waker.NextEnable(&r.env, r.running); d >= 1 && d < wake {
-				wake = d
-			}
-		}
-	}
-
-	if nowInt := len(r.enInternal[ai]) > 0; nowInt != wasInt {
-		if nowInt {
-			r.activeInternal.insert(ai)
-		} else {
-			r.activeInternal.remove(ai)
-		}
-	}
-	if nowSync := len(r.enSend[ai])+len(r.enRecv[ai]) > 0; nowSync != wasSync {
-		if nowSync {
-			r.activeSync.insert(ai)
-		} else {
-			r.activeSync.remove(ai)
-		}
-	}
-
-	if li.inv != nil {
-		var d int64
-		if li.fastInv != nil {
-			d = li.fastInv.MaxDelayRaw(vars, clocks, r.stopped)
-		} else {
-			d = li.inv.MaxDelay(&r.env, r.running)
-		}
-		if d != expr.NoBound {
-			r.expiry.push(s.Time+d, ai, r.gen[ai])
-			if counting {
-				r.statPush++
-			}
-		}
-	}
-	if wake != expr.NoBound {
-		r.wakes.push(s.Time+wake, ai, r.gen[ai])
-		if counting {
-			r.statPush++
-		}
-	}
-}
-
-// flushStats drains the accumulated guard/heap statistics into the probe.
-// Called once per enabled() query and at run end; a nil probe is a no-op.
-func (r *engineRuntime) flushStats() {
-	p := r.probe
-	if p == nil {
-		return
-	}
-	if r.statGuard > 0 {
-		p.GuardEvals.Add(r.statGuard)
-		p.GuardCompiled.Add(r.statFast)
-		p.GuardOpaque.Add(r.statSlow)
-		r.statGuard, r.statFast, r.statSlow = 0, 0, 0
-	}
-	if r.statPush > 0 {
-		p.HeapPushes.Add(r.statPush)
-		r.statPush = 0
-	}
-	if n := r.expiry.pops + r.wakes.pops; n > 0 {
-		p.HeapPops.Add(n)
-		r.expiry.pops, r.wakes.pops = 0, 0
-	}
-	if n := r.expiry.stale + r.wakes.stale; n > 0 {
-		p.HeapStale.Add(n)
-		r.expiry.stale, r.wakes.stale = 0, 0
-	}
-}
-
-// enabled computes the enabled transitions of the current state into buf,
-// in the canonical order of Network.EnabledTransitions, re-evaluating only
-// dirty automata. Parts are allocated from the runtime's arena and are only
-// valid until the next enabled call.
-func (r *engineRuntime) enabled(buf []Transition) []Transition {
-	for _, ai := range r.idx.alwaysDirty {
-		r.markDirty(ai)
-	}
-	nd := len(r.dirty)
-	for _, ai := range r.dirty {
-		r.recompute(ai)
-		r.isDirty[ai] = false
-	}
-	r.dirty = r.dirty[:0]
-	if p := r.probe; p != nil {
-		p.EnabledCalls.Add(1)
-		p.Recomputes.Add(int64(nd))
-		p.CacheReuses.Add(int64(len(r.isDirty) - nd))
-		p.DirtyTotal.Add(int64(nd))
-		p.RaiseDirtyMax(int64(nd))
-		r.flushStats()
-	}
-
-	// Rebuild the per-channel half lists from the cached per-automaton sets.
-	// Iterating automata ascending with edge-ascending halves keeps every
-	// per-channel list sorted by (aut, edge) — the canonical order.
-	r.cl.reset()
-	r.arena.reset()
-	for _, ai := range r.activeSync.list {
-		for _, h := range r.enSend[ai] {
-			r.cl.addSend(r.net, h.ch, half{int(ai), int(h.edge)})
-		}
-		for _, h := range r.enRecv[ai] {
-			r.cl.addRecv(r.net, h.ch, half{int(ai), int(h.edge)})
-		}
-	}
-
-	committed := r.committedCount > 0
-	for _, ai := range r.activeInternal.list {
-		if committed && !r.idx.locs[ai][r.s.Locs[ai]].committed {
-			continue
-		}
-		for _, ei := range r.enInternal[ai] {
-			buf = append(buf, Transition{Kind: Internal, Chan: sa.NoChan, Parts: r.arena.one(Part{int(ai), int(ei)})})
-		}
-	}
-	buf = r.net.emitSyncs(buf, r.s, r.cl, committed, &r.arena)
-	return r.net.filterPriority(buf)
-}
-
-// fire applies tr through Network.Fire and dirties exactly the automata the
-// firing may have affected.
-func (r *engineRuntime) fire(tr *Transition) error {
-	s := r.s
-	r.oldLocs = r.oldLocs[:0]
-	for _, p := range tr.Parts {
-		r.oldLocs = append(r.oldLocs, s.Locs[p.Aut])
-	}
-	if err := r.net.Fire(s, tr); err != nil {
-		return err
-	}
-	r.afterFire(tr, r.oldLocs)
-	return nil
-}
-
-// afterFire performs the cache maintenance for a firing of tr that some
-// other party already applied to the shared State. oldLocs holds the
-// participants' locations before the firing, in tr.Parts order. It is split
-// out of fire so a shadow runtime (CheckEngine over the compiled backend)
-// can track a state it does not itself mutate.
-func (r *engineRuntime) afterFire(tr *Transition, oldLocs []sa.LocID) {
-	s := r.s
-	for i, p := range tr.Parts {
-		r.markDirty(int32(p.Aut))
-		if old, now := oldLocs[i], s.Locs[p.Aut]; old != now {
-			r.locChanged(p.Aut, old, now)
-		}
-		if r.idx.writeUnknown[p.Aut][p.Edge] {
-			r.dirtyAll()
-			continue
-		}
-		for _, v := range r.idx.writeVars[p.Aut][p.Edge] {
-			r.dirtyList(r.idx.varReaders[v])
-		}
-		for _, c := range r.idx.writeClocks[p.Aut][p.Edge] {
-			r.dirtyList(r.idx.clockReaders[c])
-		}
-	}
-}
-
-// locChanged maintains the committed count, the stopped-clock counters and
-// the clock-sensitive set across a location change of automaton ai. Readers
-// of a clock whose rate flips are dirtied: their cached wake-ups and expiry
-// deadlines assumed the old rate.
-func (r *engineRuntime) locChanged(ai int, old, now sa.LocID) {
-	a := r.net.Automata[ai]
-	lold, lnew := &a.Locations[old], &a.Locations[now]
-	if lold.Committed != lnew.Committed {
-		if lnew.Committed {
-			r.committedCount++
-		} else {
-			r.committedCount--
-		}
-	}
-	for _, c := range lold.Stopped {
-		r.stopCount[c]--
-		if r.stopCount[c] == 0 {
-			r.stopped[c] = false
-			r.dirtyList(r.idx.clockReaders[c])
-		}
-	}
-	for _, c := range lnew.Stopped {
-		r.stopCount[c]++
-		if r.stopCount[c] == 1 {
-			r.stopped[c] = true
-			r.dirtyList(r.idx.clockReaders[c])
-		}
-	}
-	so := r.idx.locs[ai][old].clockSensitive
-	sn := r.idx.locs[ai][now].clockSensitive
-	if so != sn {
-		if sn {
-			r.clockSens.insert(int32(ai))
-		} else {
-			r.clockSens.remove(int32(ai))
-		}
-	}
-}
-
-// delayBound returns the delay information of the current state. It must be
-// called directly after enabled (the urgent check reads the channel lists
-// that call built). Expiry deadlines pushed at earlier times stay exact:
-// a uniform advance shrinks every running clock's remaining room equally,
-// and every other change (variable writes, clock resets, rate flips,
-// location changes) dirties the affected automata through the reader index,
-// which refreshes their entries before the next query.
-func (r *engineRuntime) delayBound() DelayInfo {
-	if r.committedCount > 0 {
-		return DelayInfo{Blocked: true}
-	}
-	if r.urgentBlocked() {
-		return DelayInfo{Blocked: true}
-	}
-	info := DelayInfo{Max: expr.NoBound, Wake: expr.NoBound}
-	if abs, ok := r.expiry.min(r.gen); ok {
-		info.Max = abs - r.s.Time
-	}
-	if abs, ok := r.wakes.min(r.gen); ok {
-		info.Wake = abs - r.s.Time
-	}
-	return info
-}
-
-// urgentBlocked reports whether a synchronization over an urgent channel is
-// enabled, from the channel lists of the last enabled call: an enabled
-// sender suffices on broadcast channels, binary channels need a
-// cross-automaton sender/receiver pair.
-func (r *engineRuntime) urgentBlocked() bool {
-	for _, ch := range r.cl.urgent {
-		if r.net.Chans[ch].Broadcast {
-			if len(r.cl.sends[ch]) > 0 {
-				return true
-			}
-			continue
-		}
-		for _, snd := range r.cl.sends[ch] {
-			for _, rcv := range r.cl.recvs[ch] {
-				if rcv.aut != snd.aut {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// advance moves time forward by d, which must not exceed the last
-// delayBound's admissible maximum. Invariants need no re-check then — d ≤ Max
-// guarantees every bound still holds — except when some automaton has an
-// opaque (non-expression) invariant, where the full checking path runs
-// instead. Clock-sensitive automata are dirtied: their guards may have
-// changed truth value under the advance.
-func (r *engineRuntime) advance(d int64) error {
-	if len(r.idx.alwaysDirty) > 0 {
-		// Opaque guards or invariants present: use the checked path.
-		if err := r.net.Advance(r.s, d); err != nil {
-			return err
-		}
-	} else {
-		s := r.s
-		for c := range s.Clocks {
-			if !r.stopped[c] {
-				s.Clocks[c] += d
-			}
-		}
-		s.Time += d
-	}
-	r.afterAdvance()
-	return nil
-}
-
-// afterAdvance is advance's cache maintenance, split out so a shadow runtime
-// can track an advance some other party applied to the shared State.
-func (r *engineRuntime) afterAdvance() {
-	for _, ai := range r.clockSens.list {
-		r.markDirty(ai)
 	}
 }

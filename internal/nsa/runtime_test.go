@@ -92,8 +92,8 @@ func stopResumeNet(t *testing.T) *Network {
 
 func TestRuntimeDeadlineHeapStopResume(t *testing.T) {
 	net := stopResumeNet(t)
-	// CheckEngine verifies the runtime's candidate sets and delay bounds
-	// against the naive enumeration at every step.
+	// CheckEngine verifies the compiled runtime's candidate sets and delay
+	// bounds against the naive enumeration at every step.
 	eng := NewEngine(net, Options{Horizon: 100, CheckEngine: true})
 	res, err := eng.Run()
 	if err != nil {
@@ -111,13 +111,13 @@ func TestRuntimeDeadlineHeapStopResume(t *testing.T) {
 	}
 }
 
-// TestRuntimeDelayBoundsStopResume drives the runtime directly and compares
-// its delay bounds against the naive DelayBound at each phase of the
-// stop/resume schedule.
+// TestRuntimeDelayBoundsStopResume drives the compiled runtime directly and
+// compares its delay bounds against the naive DelayBound at each phase of
+// the stop/resume schedule.
 func TestRuntimeDelayBoundsStopResume(t *testing.T) {
 	net := stopResumeNet(t)
 	s := net.InitialState()
-	rt := newEngineRuntime(net, s, nil)
+	rt := newCompiledRuntime(net, s, nil)
 
 	check := func(stage string, wantMax int64) {
 		t.Helper()
@@ -160,8 +160,6 @@ func TestRuntimeDelayBoundsStopResume(t *testing.T) {
 	check("resumed", 7)
 	advance(7)
 	fire("complete")
-	// delayBound is only meaningful after enabled() has drained the dirty
-	// set (the engine always calls them in that order).
 	check("final", expr.NoBound)
 }
 
@@ -206,7 +204,7 @@ func asDeadlock(err error, out **DeadlockError) bool {
 	return false
 }
 
-// TestCheckEngineUrgentBroadcast exercises the runtime's urgent and
+// TestCheckEngineUrgentBroadcast exercises the compiled runtime's urgent and
 // broadcast handling (urgent broadcast sender, multi-receiver cartesian
 // products, committed relays) under per-step differential checking.
 func TestCheckEngineUrgentBroadcast(t *testing.T) {

@@ -17,12 +17,11 @@ import "sync/atomic"
 //     tests can check internal consistency.
 //   - SyncInternal, SyncBinary, SyncBroadcast: action transitions by
 //     synchronization kind; their sum equals Actions.
-//   - GuardEvals: guard evaluations on the indexed interpretation paths
+//   - GuardEvals: guard evaluations on the compiled interpretation paths
 //     (engine runtime recomputation and Enumerator scans), split into
 //     GuardCompiled (compiled expression closure or cheaper), GuardBytecode
-//     (the bytecode and inlined-comparison subset of GuardCompiled, compiled
-//     backend only) and GuardOpaque (interface dispatch through the
-//     environment).
+//     (the bytecode and inlined-comparison subset of GuardCompiled) and
+//     GuardOpaque (interface dispatch through the environment).
 //   - EnabledCalls: enabled-set queries. Recomputes counts automata whose
 //     cached enabled sets had to be rebuilt (dirty); CacheReuses counts
 //     automata whose cached sets were still valid. DirtyTotal sums the
@@ -33,7 +32,7 @@ import "sync/atomic"
 //     they surfaced at the heap top; HeapStale counts stale entries
 //     removed by wholesale compaction.
 //   - DeadlineRecomputes: per-automaton deadline refreshes on the compiled
-//     backend's deadline-dirty plane. EnabledUnchanged counts enabled-set
+//     runtime's deadline-dirty plane. EnabledUnchanged counts enabled-set
 //     recomputations that produced an identical set (surgery skipped).
 //     FirstFast counts steps served by the first-transition fast path
 //     without materializing the candidate list.
@@ -105,12 +104,12 @@ func (p *Probe) Snapshot() Counters {
 		return Counters{}
 	}
 	return Counters{
-		Steps:         p.Steps.Load(),
-		Actions:       p.Actions.Load(),
-		Delays:        p.Delays.Load(),
-		SyncInternal:  p.SyncInternal.Load(),
-		SyncBinary:    p.SyncBinary.Load(),
-		SyncBroadcast: p.SyncBroadcast.Load(),
+		Steps:              p.Steps.Load(),
+		Actions:            p.Actions.Load(),
+		Delays:             p.Delays.Load(),
+		SyncInternal:       p.SyncInternal.Load(),
+		SyncBinary:         p.SyncBinary.Load(),
+		SyncBroadcast:      p.SyncBroadcast.Load(),
 		GuardEvals:         p.GuardEvals.Load(),
 		GuardCompiled:      p.GuardCompiled.Load(),
 		GuardBytecode:      p.GuardBytecode.Load(),
