@@ -86,18 +86,8 @@ func newMux(pool *jobs.Pool, camps *campaign.Engine, synths *synth.Engine, comp 
 	mux.HandleFunc("GET /v1/jobs/{id}/report", s.report)
 	mux.HandleFunc("GET /v1/jobs/{id}/postmortem", s.postmortem)
 	mux.HandleFunc("GET /v1/traces/{id}", s.spanTree)
-	mux.HandleFunc("POST /v1/campaigns", s.campaignStart)
-	mux.HandleFunc("GET /v1/campaigns", s.campaignList)
-	mux.HandleFunc("GET /v1/campaigns/{id}", s.campaignStatus)
-	mux.HandleFunc("DELETE /v1/campaigns/{id}", s.campaignCancel)
-	mux.HandleFunc("GET /v1/campaigns/{id}/result", s.campaignResult)
-	mux.HandleFunc("GET /v1/campaigns/{id}/events", s.campaignEvents)
-	mux.HandleFunc("POST /v1/synth", s.synthStart)
-	mux.HandleFunc("GET /v1/synth", s.synthList)
-	mux.HandleFunc("GET /v1/synth/{id}", s.synthStatus)
-	mux.HandleFunc("DELETE /v1/synth/{id}", s.synthCancel)
-	mux.HandleFunc("GET /v1/synth/{id}/region", s.synthRegion)
-	mux.HandleFunc("GET /v1/synth/{id}/events", s.synthEvents)
+	campaigns(camps).mount(mux)
+	syntheses(synths).mount(mux)
 	mux.HandleFunc("POST /v1/compose", s.composeRun)
 	mux.HandleFunc("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /healthz", s.health)

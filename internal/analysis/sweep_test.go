@@ -1,11 +1,14 @@
-package analysis
+package analysis_test
 
 import (
 	"context"
 	"testing"
+	"time"
 
+	"stopwatchsim/internal/analysis"
+	"stopwatchsim/internal/campaign"
 	"stopwatchsim/internal/config"
-	"stopwatchsim/internal/nsa"
+	"stopwatchsim/internal/jobs"
 )
 
 // sweepSystem is schedulable at 100% with headroom that runs out well
@@ -28,80 +31,81 @@ func sweepSystem() *config.System {
 	}
 }
 
-// TestSweepMatchesSerialOracle checks every sweep point against the
+// TestSweepMatchesSerialOracle checks every point of a WCET-scaling sweep
+// (a campaign grid on wcet_pct fanned across a job pool) against the
 // serial Schedulable oracle, across parallelism degrees.
 func TestSweepMatchesSerialOracle(t *testing.T) {
 	sys := sweepSystem()
-	points, err := SweepRange(40, 180, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]bool, len(points))
-	for i, pct := range points {
-		ok, err := Schedulable(ScaleWCET(sys, pct))
+	want := make(map[int64]bool)
+	for pct := int64(40); pct <= 180; pct += 20 {
+		ok, err := analysis.Schedulable(analysis.ScaleWCET(sys, pct))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = ok
+		want[pct] = ok
 	}
 	for _, parallel := range []int{1, 4} {
-		got, err := SweepWCET(context.Background(), sys, points, parallel, nsa.Budget{})
+		pool := jobs.New(jobs.Options{Workers: parallel})
+		eng := campaign.NewEngine(pool, nil, nil)
+		st, err := eng.Start(&campaign.Spec{
+			Name:     "sweep",
+			Strategy: campaign.StrategyGrid,
+			Base:     sys,
+			Axes:     []campaign.Axis{{Param: campaign.ParamWCETPct, Min: 40, Max: 180, Step: 20}},
+			Parallel: parallel,
+		})
+		if err != nil {
+			pool.Close()
+			t.Fatalf("parallel=%d: %v", parallel, err)
+		}
+		ctx, cancel := context.WithTimeout(t.Context(), 2*time.Minute)
+		final, err := eng.Wait(ctx, st.ID)
+		cancel()
+		pool.Close()
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
-		for i := range points {
-			if got[i].Pct != points[i] || got[i].Schedulable != want[i] {
-				t.Errorf("parallel=%d point %d%%: got %+v, want schedulable=%t",
-					parallel, points[i], got[i], want[i])
+		if final.Status != campaign.StatusDone || len(final.Points) != len(want) {
+			t.Fatalf("parallel=%d: status = %s (%s), %d points, want %d",
+				parallel, final.Status, final.Error, len(final.Points), len(want))
+		}
+		seen := make(map[int64]bool)
+		for _, p := range final.Points {
+			pct := int64(p.Point[campaign.ParamWCETPct])
+			w, ok := want[pct]
+			if !ok || seen[pct] {
+				t.Errorf("parallel=%d: unexpected point %d%%", parallel, pct)
+				continue
+			}
+			seen[pct] = true
+			if p.Schedulable != w {
+				t.Errorf("parallel=%d point %d%%: got schedulable=%t, want %t",
+					parallel, pct, p.Schedulable, w)
 			}
 		}
 	}
 }
 
-func TestSweepCachesDuplicatePoints(t *testing.T) {
-	sys := sweepSystem()
-	got, err := SweepWCET(context.Background(), sys, []int64{100, 120, 100}, 1, nsa.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got[2].CacheHit {
-		t.Fatalf("duplicate point did not hit the cache: %+v", got)
-	}
-	if got[0].CacheHit {
-		t.Fatalf("first point reported a cache hit: %+v", got[0])
-	}
-	if got[0].Schedulable != got[2].Schedulable {
-		t.Fatalf("cached verdict diverges: %+v", got)
-	}
-}
-
+// TestSweepAgreesWithCriticalScaling: the largest schedulable point of an
+// exhaustive 1..400% sweep is the percentage CriticalScaling's binary
+// search reports.
 func TestSweepAgreesWithCriticalScaling(t *testing.T) {
 	sys := sweepSystem()
-	exact, err := CriticalScaling(sys, 400)
+	exact, err := analysis.CriticalScaling(sys, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := SweepRange(1, 400, 1)
-	if err != nil {
-		t.Fatal(err)
+	var best int64
+	for pct := int64(1); pct <= 400; pct++ {
+		ok, err := analysis.Schedulable(analysis.ScaleWCET(sys, pct))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			best = pct
+		}
 	}
-	sweep, err := SweepWCET(context.Background(), sys, points, 8, nsa.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := CriticalFromSweep(sweep); got != exact {
-		t.Fatalf("exhaustive sweep critical point %d%% != binary search %d%%", got, exact)
-	}
-}
-
-func TestSweepRejectsBadInput(t *testing.T) {
-	if _, err := SweepWCET(context.Background(), sweepSystem(), []int64{0}, 1, nsa.Budget{}); err == nil {
-		t.Fatal("non-positive point accepted")
-	}
-	if _, err := SweepRange(10, 5, 1); err == nil {
-		t.Fatal("inverted range accepted")
-	}
-	if pts, err := SweepWCET(context.Background(), sweepSystem(), nil, 1, nsa.Budget{}); err != nil || pts != nil {
-		t.Fatalf("empty sweep: %v %v", pts, err)
+	if best != exact {
+		t.Fatalf("exhaustive sweep critical point %d%% != binary search %d%%", best, exact)
 	}
 }

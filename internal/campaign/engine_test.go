@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"stopwatchsim/internal/analysis"
 	"stopwatchsim/internal/config"
 	"stopwatchsim/internal/jobs"
 	"stopwatchsim/internal/store"
@@ -410,5 +411,105 @@ func TestUnknownCampaign(t *testing.T) {
 	}
 	if _, err := eng.Wait(context.Background(), "nope"); err != ErrUnknownCampaign {
 		t.Errorf("Wait err = %v", err)
+	}
+}
+
+// headroomSystem is schedulable at 100% with headroom that runs out well
+// before 400%: hi C=2/P=10 and lo C=9/P=20 on one core.
+func headroomSystem() *config.System {
+	return &config.System{
+		Name:      "headroom",
+		CoreTypes: []string{"cpu"},
+		Cores:     []config.Core{{Name: "c1", Type: 0, Module: 1}},
+		Partitions: []config.Partition{{
+			Name: "P1", Core: 0, Policy: config.FPPS,
+			Tasks: []config.Task{
+				{Name: "hi", Priority: 2, WCET: []int64{2}, Period: 10, Deadline: 10},
+				{Name: "lo", Priority: 1, WCET: []int64{9}, Period: 20, Deadline: 20},
+			},
+			Windows: []config.Window{{Start: 0, End: 20}},
+		}},
+	}
+}
+
+// TestGridAndBisectAgreeWithCriticalScaling: analysis.CriticalScaling is
+// the oracle of the WCET breakdown search. An exhaustive grid must match
+// the serial simulator at every point and top out at the oracle's
+// critical percentage, and bisection must converge to the same value.
+func TestGridAndBisectAgreeWithCriticalScaling(t *testing.T) {
+	sys := headroomSystem()
+	exact, err := analysis.CriticalScaling(sys, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := jobs.New(jobs.Options{Workers: 2})
+	defer pool.Close()
+	eng := NewEngine(pool, nil, nil)
+
+	grid := runCampaign(t, eng, &Spec{
+		Name:     "headroom-grid",
+		Strategy: StrategyGrid,
+		Base:     sys,
+		Axes:     []Axis{{Param: ParamWCETPct, Min: 1, Max: 400, Step: 1}},
+		Parallel: 8,
+	})
+	if grid.Status != StatusDone || len(grid.Points) != 400 {
+		t.Fatalf("grid status = %s (%s), %d points", grid.Status, grid.Error, len(grid.Points))
+	}
+	var best int64
+	for _, p := range grid.Points {
+		pct := int64(p.Point[ParamWCETPct])
+		want, err := analysis.Schedulable(analysis.ScaleWCET(sys, pct))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Schedulable != want {
+			t.Errorf("wcet_pct=%d: grid says schedulable=%t, the simulator %t", pct, p.Schedulable, want)
+		}
+		if p.Schedulable && pct > best {
+			best = pct
+		}
+	}
+	if best != exact {
+		t.Errorf("grid critical point %d%% != CriticalScaling %d%%", best, exact)
+	}
+
+	bis := runCampaign(t, eng, &Spec{
+		Name:     "headroom-bisect",
+		Strategy: StrategyBisect,
+		Base:     sys,
+		Axes:     []Axis{{Param: ParamWCETPct, Min: 1, Max: 400, Tol: 1}},
+	})
+	if bis.Status != StatusDone || bis.Critical == nil {
+		t.Fatalf("bisect status = %s (%s), critical %v", bis.Status, bis.Error, bis.Critical)
+	}
+	if got := int64(*bis.Critical); got != exact {
+		t.Errorf("bisect critical point %d%% != CriticalScaling %d%%", got, exact)
+	}
+}
+
+// TestGridAliasesEvaluateOnce: grid points that materialize to one
+// configuration (wcet_pct 100..109 of C=10 all truncate to 10) run once
+// even when they are in flight together; the rest are recorded from that
+// run as checkpoint points, so the provenance counts are deterministic.
+func TestGridAliasesEvaluateOnce(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		pool := jobs.New(jobs.Options{Workers: 4})
+		eng := NewEngine(pool, nil, nil)
+		final := runCampaign(t, eng, &Spec{
+			Name:     "aliases",
+			Strategy: StrategyGrid,
+			Base:     bdSystem(),
+			Axes:     []Axis{{Param: ParamWCETPct, Min: 100, Max: 109, Step: 1}},
+			Parallel: 10,
+		})
+		sum := final.Summarize()
+		if sum.Points.Total != 10 || sum.Points.Computed != 1 || sum.Points.Checkpoint != 9 {
+			t.Fatalf("round %d: points %+v, want 1 computed and 9 checkpoint", round, sum.Points)
+		}
+		if n := len(pool.List()); n != 1 {
+			t.Fatalf("round %d: %d pool jobs, want 1", round, n)
+		}
+		pool.Close()
 	}
 }

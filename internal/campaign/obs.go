@@ -1,21 +1,10 @@
 package campaign
 
-// The campaign ops view: a live event stream (the body of the
-// GET /v1/campaigns/{id}/events SSE endpoint), coverage/ETA accounting
-// from the points-duration histogram, and the straggler report embedded
-// in campaign status. All of it is best-effort telemetry — publishing
-// never blocks point evaluation, and a slow subscriber loses events
-// rather than stalling the exploration.
+import "stopwatchsim/internal/explore"
 
-import (
-	"sort"
-	"time"
-
-	"stopwatchsim/internal/jobs"
-	"stopwatchsim/internal/obs"
-)
-
-// Event is one record on a campaign's live event stream.
+// Event is one record on a campaign's live event stream (the body of the
+// GET /v1/campaigns/{id}/events SSE endpoint), the campaign wire form of
+// explore.Event.
 type Event struct {
 	// Type is "point" (a point settled), "quarantine" (a point exhausted
 	// its retries) or "status" (the campaign reached a terminal state).
@@ -38,161 +27,7 @@ type Event struct {
 	EtaMS       int64   `json:"eta_ms,omitempty"`
 }
 
-// Subscribe attaches a live event subscriber to a campaign, returning
-// its channel and a cancel function. The channel is closed by cancel,
-// not by campaign completion — subscribers see the terminal "status"
-// event and decide for themselves when to detach.
-func (e *Engine) Subscribe(id string) (<-chan any, func(), bool) {
-	e.mu.Lock()
-	c := e.camps[id]
-	e.mu.Unlock()
-	if c == nil {
-		return nil, nil, false
-	}
-	ch, cancel := c.hub.Subscribe(16)
-	return ch, cancel, true
-}
-
-// StatusEvent builds a synthetic status event from the campaign's
-// current state — the opening record of every SSE subscription, so a
-// subscriber to an already-terminal campaign still sees its status.
-func (e *Engine) StatusEvent(id string) (Event, bool) {
-	e.mu.Lock()
-	c := e.camps[id]
-	e.mu.Unlock()
-	if c == nil {
-		return Event{}, false
-	}
-	c.mu.Lock()
-	ev := Event{Type: "status", Status: c.state.Status}
-	c.progressLocked(&ev)
-	c.mu.Unlock()
-	return ev, true
-}
-
-// progressLocked fills the progress fields of ev. Callers hold c.mu.
-func (c *Campaign) progressLocked(ev *Event) {
-	ev.Campaign = c.state.ID
-	ev.Done = len(c.state.Points)
-	if c.total <= 0 {
-		return
-	}
-	ev.Total = c.total
-	ev.CoveragePct = 100 * float64(ev.Done) / float64(c.total)
-	if ev.Done >= c.total {
-		return
-	}
-	if s := c.durs.Snapshot(); s.Count > 0 {
-		mean := float64(s.Sum) / float64(s.Count)
-		par := c.state.Spec.parallel()
-		ev.EtaMS = int64(mean * float64(c.total-ev.Done) / float64(par) / float64(time.Millisecond))
-	}
-}
-
-// publishPoint pushes a settled point onto the stream.
-func (c *Campaign) publishPoint(pr *PointResult) {
-	if c.hub.Subscribers() == 0 {
-		return
-	}
-	ev := Event{
-		Type:        "point",
-		Point:       pr.Point.Key(),
-		Source:      pr.Source,
-		Schedulable: pr.Schedulable,
-		Trace:       pr.Trace,
-	}
-	if pr.Source == SourceFailed {
-		ev.Type = "quarantine"
-	}
-	c.mu.Lock()
-	c.progressLocked(&ev)
-	c.mu.Unlock()
-	c.hub.Publish(ev)
-}
-
-// publishStatus pushes the campaign's terminal state onto the stream.
-func (c *Campaign) publishStatus(status string) {
-	if c.hub.Subscribers() == 0 {
-		return
-	}
-	ev := Event{Type: "status", Status: status}
-	c.mu.Lock()
-	c.progressLocked(&ev)
-	c.mu.Unlock()
-	c.hub.Publish(ev)
-}
-
-// maxStragglers bounds the straggler report.
-const maxStragglers = 5
-
-// noteStragglerLocked folds one computed point into the top-N straggler
-// report, keeping it sorted worst-first. Callers hold c.mu.
-func (c *Campaign) noteStragglerLocked(pr *PointResult, done jobs.Job) {
-	if pr.Source != SourceComputed {
-		return
-	}
-	s := Straggler{Point: pr.Point, Trace: pr.Trace, ElapsedNS: pr.ElapsedNS}
-	if done.Outcome != nil && done.Outcome.Telemetry != nil {
-		s.Phases = make(map[string]int64)
-		for _, ph := range done.Outcome.Telemetry.Phases {
-			if ph.Depth == 0 {
-				s.Phases[ph.Name] += ph.DurNS
-			}
-		}
-	}
-	st := c.state.Stragglers
-	// A healed re-evaluation must replace the point's old entry, never
-	// duplicate it.
-	key := s.Point.Key()
-	for j := range st {
-		if st[j].Point.Key() == key {
-			st = append(st[:j], st[j+1:]...)
-			break
-		}
-	}
-	i := sort.Search(len(st), func(i int) bool { return st[i].ElapsedNS < s.ElapsedNS })
-	if i >= maxStragglers {
-		c.state.Stragglers = st
-		return
-	}
-	st = append(st, Straggler{})
-	copy(st[i+1:], st[i:])
-	st[i] = s
-	if len(st) > maxStragglers {
-		st = st[:maxStragglers]
-	}
-	c.state.Stragglers = st
-}
-
-// pointTrace mints one point's child trace context, zero when the
-// exploration is untraced.
-func (c *Campaign) pointTrace() obs.TraceContext {
-	if c.trace.Valid() {
-		return c.trace.Child()
-	}
-	return obs.TraceContext{}
-}
-
-// closePointSpan records the point's span — submit through settle —
-// under the exploration's root. No-op for untraced points.
-func (c *Campaign) closePointSpan(tc obs.TraceContext, pt Point, start time.Time) {
-	if tr := c.eng.pool.Tracer(); tr != nil && tc.Valid() {
-		tr.Record(tc, c.trace.SpanID, "campaign.point", pt.Key(),
-			start.UnixNano(), time.Since(start).Nanoseconds())
-	}
-}
-
-// armTraceLocked mints (or, on resume, re-adopts) the exploration's root
-// trace context when the pool traces. Callers hold e.mu; the campaign
-// goroutine is not yet running.
-func (c *Campaign) armTraceLocked() {
-	if c.eng.pool.Tracer() == nil {
-		return
-	}
-	if tc, ok := obs.ParseTraceparent(c.state.Trace); ok {
-		c.trace = tc
-		return
-	}
-	c.trace = obs.NewTrace()
-	c.state.Trace = c.trace.Traceparent()
+func (*kind) Event(e explore.Event) any {
+	return Event{Type: e.Type, Campaign: e.Run, Status: e.Status, Point: e.Point, Source: e.Source,
+		Schedulable: e.Verdict, Trace: e.Trace, Done: e.Done, Total: e.Total, CoveragePct: e.CoveragePct, EtaMS: e.EtaMS}
 }

@@ -267,3 +267,30 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
+
+// TestAliasEvaluatesAfterFailedLeader: two grid points that materialize
+// to one configuration are in flight together; the evaluation the second
+// waits on fails (an injected fault, no retries) and is quarantined, so
+// the waiter evaluates on its own instead of inheriting the failure.
+func TestAliasEvaluatesAfterFailedLeader(t *testing.T) {
+	pool := faultyPool(2, nil,
+		fault.Rule{Site: fault.SiteCampaignPoint, Kind: fault.KindError, Every: 1, Limit: 1})
+	defer pool.Close()
+	eng := NewEngine(pool, nil, nil)
+
+	final := runCampaign(t, eng, &Spec{
+		Name:     "alias-after-failure",
+		Strategy: StrategyGrid,
+		Base:     bdSystem(),
+		Axes:     []Axis{{Param: ParamWCETPct, Min: 100, Max: 101, Step: 1}}, // both truncate to C=10
+		Parallel: 2,
+		Retries:  -1,
+	})
+	if final.Status != StatusDone {
+		t.Fatalf("status = %s (%s)", final.Status, final.Error)
+	}
+	sum := final.Summarize()
+	if sum.Points.Total != 2 || sum.Points.Failed != 1 || sum.Points.Computed != 1 {
+		t.Fatalf("points %+v, want one quarantined and one computed", sum.Points)
+	}
+}

@@ -7,21 +7,23 @@ package campaign
 // schema of GET /v1/campaigns/{id}/result and `campaign export`, pinned
 // by a golden file like the trace export contracts.
 
+import "stopwatchsim/internal/explore"
+
 // Campaign statuses.
 const (
-	StatusRunning  = "running"
-	StatusDone     = "done"
-	StatusFailed   = "failed"
-	StatusCanceled = "canceled"
+	StatusRunning  = explore.StatusRunning
+	StatusDone     = explore.StatusDone
+	StatusFailed   = explore.StatusFailed
+	StatusCanceled = explore.StatusCanceled
 )
 
 // Point sources: where a point's verdict came from.
 const (
-	SourceComputed   = "computed"   // a fresh engine run
-	SourceMemory     = "memory"     // the pool's in-memory result cache
-	SourceDisk       = "disk"       // the persistent store tier
-	SourceCheckpoint = "checkpoint" // the campaign's own resumed state
-	SourceFailed     = "failed"     // the run failed (Error holds why)
+	SourceComputed   = explore.SourceComputed   // a fresh engine run
+	SourceMemory     = explore.SourceMemory     // the pool's in-memory result cache
+	SourceDisk       = explore.SourceDisk       // the persistent store tier
+	SourceCheckpoint = explore.SourceCheckpoint // the campaign's own point log
+	SourceFailed     = explore.SourceFailed     // the run failed (Error holds why)
 )
 
 // stateVersion tags the checkpoint document schema.

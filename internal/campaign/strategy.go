@@ -4,12 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
-	"stopwatchsim/internal/config"
-	"stopwatchsim/internal/fault"
-	"stopwatchsim/internal/jobs"
-	"stopwatchsim/internal/obs"
+	"stopwatchsim/internal/explore"
 )
 
 // The strategies. Each maps the design space with a different budget of
@@ -30,91 +26,19 @@ import (
 // additionally assume schedulability is monotone non-increasing along the
 // bisected axis (true for WCET scale and utilization under
 // work-conserving schedulers on a fixed window schedule).
+//
+// Each strategy is a planner over the exploration core: it decides which
+// points to ask for and the core answers them. Grid hands the whole cross
+// product to Run.EvaluateAll, spec.Parallel points in flight; a failed
+// point is quarantined by the core's policy and the grid goes on, while
+// bisect and frontier treat a failed point as an abort (a breakdown
+// result computed around a hole would be silently wrong).
 
-// runGrid evaluates the full cross product, fanning spec.Parallel points
-// at a time through the pool and checkpointing as each completes. Failed
-// points are retried per the quarantine policy and then recorded and
-// skipped — one pathological corner of a sweep must not void the rest of
-// the map. On any abort (cancellation included) every in-flight batch job
-// is canceled in the pool so workers stop promptly.
-func (c *Campaign) runGrid(ctx context.Context, spec *Spec) error {
-	pts := gridPoints(spec.Axes)
-	par := spec.parallel()
-	for lo := 0; lo < len(pts); lo += par {
-		hi := min(lo+par, len(pts))
-		type pending struct {
-			pt  Point
-			fp  string
-			sys *config.System
-			id  string
-			// tc/start anchor the point's span when the pool traces.
-			tc    obs.TraceContext
-			start time.Time
-			// done carries an attempt settled without a pool job (an
-			// injected campaign-level fault).
-			done *jobs.Job
-		}
-		var batch []pending
-		// cancelBatch propagates an abort into the pool; canceling jobs
-		// already terminal is a harmless no-op.
-		cancelBatch := func() {
-			for _, pn := range batch {
-				if pn.id != "" {
-					c.eng.pool.Cancel(pn.id)
-				}
-			}
-		}
-		for _, pt := range pts[lo:hi] {
-			if err := ctx.Err(); err != nil {
-				cancelBatch()
-				return err
-			}
-			// Checkpoint hits are answered synchronously; everything else
-			// is submitted up front and awaited below so the batch's
-			// evaluations overlap in the pool.
-			sys, err := Materialize(spec, pt)
-			if err != nil {
-				cancelBatch()
-				return err
-			}
-			fp := sys.Fingerprint()
-			if _, ok := c.checkpointHit(pt, fp); ok {
-				continue
-			}
-			tc, start := c.pointTrace(), time.Now()
-			if f := c.eng.pool.Faults().Hit(fault.SiteCampaignPoint); f != nil {
-				batch = append(batch, pending{pt: pt, fp: fp, sys: sys, tc: tc, start: start,
-					done: &jobs.Job{Status: jobs.StatusFailed, Err: f.Err()}})
-				continue
-			}
-			jb, err := c.submit(ctx, sys, tc)
-			if err != nil {
-				cancelBatch()
-				return err
-			}
-			batch = append(batch, pending{pt: pt, fp: fp, sys: sys, tc: tc, start: start, id: jb.ID})
-		}
-		for _, pn := range batch {
-			var done jobs.Job
-			if pn.done != nil {
-				done = *pn.done
-			} else {
-				var err error
-				done, err = c.eng.pool.Wait(ctx, pn.id)
-				if err != nil {
-					cancelBatch()
-					return err
-				}
-			}
-			_, err := c.settle(ctx, spec, pn.sys, pn.pt, pn.fp, done, pn.tc)
-			c.closePointSpan(pn.tc, pn.pt, pn.start)
-			if err != nil {
-				cancelBatch()
-				return err
-			}
-		}
-	}
-	return nil
+// planner runs one campaign's strategy over its exploration run.
+type planner struct {
+	r    *explore.Run[State, Point]
+	k    *kind
+	spec *Spec
 }
 
 // gridPoints expands the axes' cross product in row-major order (last
@@ -141,57 +65,52 @@ func gridPoints(axes []Axis) []Point {
 
 // runBisect finds the critical value of the single axis and records it —
 // with the witness bracket behind it — in state.Critical/Bracket.
-func (c *Campaign) runBisect(ctx context.Context, spec *Spec) error {
-	crit, pair, _, err := c.bisectAxis(ctx, spec, Point{}, &spec.Axes[0], bracket{})
+func (p *planner) runBisect(ctx context.Context) error {
+	crit, pair, err := p.bisectAxis(ctx, Point{}, &p.spec.Axes[0], bracket{})
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.state.Critical = crit
-	c.state.Bracket = pair
-	c.mu.Unlock()
+	p.r.Update(func(s *State) { s.Critical, s.Bracket = crit, pair })
 	return nil
 }
 
 // runFrontier grids the row axis and bisects the column axis per row,
 // seeding brackets adaptively, building state.Frontier.
-func (c *Campaign) runFrontier(ctx context.Context, spec *Spec) error {
-	rowAxis, colAxis := &spec.Axes[0], &spec.Axes[1]
+func (p *planner) runFrontier(ctx context.Context) error {
+	rowAxis, colAxis := &p.spec.Axes[0], &p.spec.Axes[1]
 	var prev *float64
 	for _, row := range rowAxis.gridValues() {
 		base := Point{rowAxis.Param: row}
-		before := c.snapshot().Convergence.Evaluations
+		before := p.evaluations()
 
 		var br bracket
 		if prev != nil && *prev > colAxis.Min && *prev < colAxis.Max {
 			// Adaptive seeding: probe the neighbor row's critical point
 			// first; whichever way it lands, it halves the bracket.
-			pr, err := c.evalAt(ctx, spec, base, colAxis.Param, *prev)
+			ok, err := p.evalAt(ctx, base, colAxis.Param, *prev)
 			if err != nil {
 				return err
 			}
-			if pr.Schedulable {
+			if ok {
 				br.lo, br.loKnown = *prev, true
 			} else {
 				br.hi, br.hiKnown = *prev, true
 			}
-			c.mu.Lock()
-			c.state.Convergence.BracketReuses++
-			c.mu.Unlock()
-			c.eng.count(func(m *EngineMetrics) { m.BracketReuses++ })
+			p.r.Update(func(s *State) { s.Convergence.BracketReuses++ })
+			p.k.bracketReuses.Add(1)
 		}
 
-		crit, pair, _, err := c.bisectAxis(ctx, spec, base, colAxis, br)
+		crit, pair, err := p.bisectAxis(ctx, base, colAxis, br)
 		if err != nil {
 			return err
 		}
-		evals := c.snapshot().Convergence.Evaluations - before
-		c.mu.Lock()
-		c.state.Frontier = append(c.state.Frontier, FrontierRow{Row: row, Critical: crit, Bracket: pair, Evaluations: evals})
-		c.state.Convergence.FrontierRows++
-		c.mu.Unlock()
-		c.eng.count(func(m *EngineMetrics) { m.FrontierRows++ })
-		c.checkpoint()
+		p.r.Update(func(s *State) {
+			evals := s.Convergence.Evaluations - before
+			s.Frontier = append(s.Frontier, FrontierRow{Row: row, Critical: crit, Bracket: pair, Evaluations: evals})
+			s.Convergence.FrontierRows++
+		})
+		p.k.frontierRows.Add(1)
+		p.r.Checkpoint()
 		prev = crit
 	}
 	return nil
@@ -209,10 +128,8 @@ type bracket struct {
 // unschedulable. The BracketPair carries the witness runs localizing the
 // boundary: the largest value proven schedulable and the smallest proven
 // unschedulable (one side absent when the whole interval falls on one
-// side). The returned int counts interior iterations. A failed oracle run
-// aborts the search: a breakdown result computed around a hole would be
-// silently wrong.
-func (c *Campaign) bisectAxis(ctx context.Context, spec *Spec, base Point, a *Axis, br bracket) (*float64, *BracketPair, int, error) {
+// side). A failed oracle run aborts the search.
+func (p *planner) bisectAxis(ctx context.Context, base Point, a *Axis, br bracket) (*float64, *BracketPair, error) {
 	lo, hi := a.Min, a.Max
 	loKnown, hiKnown := false, false
 	if br.loKnown {
@@ -223,32 +140,31 @@ func (c *Campaign) bisectAxis(ctx context.Context, spec *Spec, base Point, a *Ax
 	}
 
 	if !loKnown {
-		pr, err := c.evalAt(ctx, spec, base, a.Param, lo)
+		ok, err := p.evalAt(ctx, base, a.Param, lo)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		if !pr.Schedulable {
+		if !ok {
 			// Nothing schedulable at or above the minimum: the minimum
 			// itself is the infeasible witness.
 			v := lo
-			return nil, &BracketPair{Infeasible: &v}, 0, nil
+			return nil, &BracketPair{Infeasible: &v}, nil
 		}
 	}
 	if !hiKnown {
-		pr, err := c.evalAt(ctx, spec, base, a.Param, hi)
+		ok, err := p.evalAt(ctx, base, a.Param, hi)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		if pr.Schedulable {
+		if ok {
 			// The whole interval is schedulable: the maximum is its own
 			// feasible witness, no infeasible one exists.
 			v := hi
-			return &v, &BracketPair{Feasible: &v}, 0, nil
+			return &v, &BracketPair{Feasible: &v}, nil
 		}
 	}
 
 	tol := a.tol()
-	iters := 0
 	for hi-lo > tol {
 		// Snap the midpoint onto the tol grid anchored at the axis
 		// minimum so bisect probes the same lattice a step-tol grid
@@ -260,16 +176,13 @@ func (c *Campaign) bisectAxis(ctx context.Context, spec *Spec, base Point, a *Ax
 		if mid >= hi {
 			break
 		}
-		pr, err := c.evalAt(ctx, spec, base, a.Param, mid)
+		ok, err := p.evalAt(ctx, base, a.Param, mid)
 		if err != nil {
-			return nil, nil, iters, err
+			return nil, nil, err
 		}
-		iters++
-		c.mu.Lock()
-		c.state.Convergence.BisectIterations++
-		c.mu.Unlock()
-		c.eng.count(func(m *EngineMetrics) { m.BisectIterations++ })
-		if pr.Schedulable {
+		p.r.Update(func(s *State) { s.Convergence.BisectIterations++ })
+		p.k.bisectIterations.Add(1)
+		if ok {
 			lo = mid
 		} else {
 			hi = mid
@@ -278,23 +191,29 @@ func (c *Campaign) bisectAxis(ctx context.Context, spec *Spec, base Point, a *Ax
 	// The loop invariant holds lo schedulable and hi unschedulable: the
 	// converged bracket is the critical value's witness pair.
 	v, u := lo, hi
-	return &v, &BracketPair{Feasible: &v, Infeasible: &u}, iters, nil
+	return &v, &BracketPair{Feasible: &v, Infeasible: &u}, nil
 }
 
-// evalAt evaluates base extended with param=v, treating a failed run as a
-// strategy-aborting error.
-func (c *Campaign) evalAt(ctx context.Context, spec *Spec, base Point, param string, v float64) (*PointResult, error) {
+// evalAt reports whether base extended with param=v is schedulable,
+// treating a failed run as a strategy-aborting error.
+func (p *planner) evalAt(ctx context.Context, base Point, param string, v float64) (bool, error) {
 	pt := make(Point, len(base)+1)
 	for k, bv := range base {
 		pt[k] = bv
 	}
 	pt[param] = v
-	pr, err := c.evaluate(ctx, spec, pt)
+	res, err := p.r.Evaluate(ctx, pt)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	if pr.Source == SourceFailed {
-		return nil, fmt.Errorf("campaign: point %s failed: %s", pt.Key(), pr.Error)
+	if res.Source == SourceFailed {
+		return false, fmt.Errorf("campaign: point %s failed: %s", pt.Key(), res.Error)
 	}
-	return pr, nil
+	return res.Verdict, nil
+}
+
+// evaluations reads the campaign's pool-evaluation count.
+func (p *planner) evaluations() (n int) {
+	p.r.Update(func(s *State) { n = s.Convergence.Evaluations })
+	return n
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"stopwatchsim/internal/config"
+	"stopwatchsim/internal/explore"
 	"stopwatchsim/internal/jobs"
 	"stopwatchsim/internal/obs"
 	"stopwatchsim/internal/store"
@@ -254,11 +255,7 @@ func (a *Analyzer) analyzeModule(ctx context.Context, mod *Module, tc obs.TraceC
 	if tracer != nil {
 		jtc = tc.Child()
 	}
-	jb, err := a.pool.SubmitTraced(jobs.ConfigRun{Sys: mod.Sub}, a.pool.DefaultBudget(), jtc)
-	if err != nil {
-		return nil, fmt.Errorf("compose: module %d: %w", mod.ID, err)
-	}
-	jb, err = a.pool.Wait(ctx, jb.ID)
+	jb, err := explore.SubmitWait(ctx, a.pool, mod.Sub, jtc)
 	if err != nil {
 		return nil, fmt.Errorf("compose: module %d: %w", mod.ID, err)
 	}
@@ -347,11 +344,7 @@ func (a *Analyzer) finishGlobal(ctx context.Context, plan *Plan, res *Result, re
 		jtc = tc.Child()
 	}
 	gs := time.Now()
-	jb, err := a.pool.SubmitTraced(jobs.ConfigRun{Sys: plan.Sys}, a.pool.DefaultBudget(), jtc)
-	if err != nil {
-		return nil, fmt.Errorf("compose: global product: %w", err)
-	}
-	jb, err = a.pool.Wait(ctx, jb.ID)
+	jb, err := explore.SubmitWait(ctx, a.pool, plan.Sys, jtc)
 	if err != nil {
 		return nil, fmt.Errorf("compose: global product: %w", err)
 	}

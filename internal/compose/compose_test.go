@@ -5,11 +5,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"stopwatchsim/internal/compose"
 	"stopwatchsim/internal/config"
 	"stopwatchsim/internal/gen"
 	"stopwatchsim/internal/jobs"
+	"stopwatchsim/internal/nsa"
 	"stopwatchsim/internal/store"
 )
 
@@ -292,5 +294,67 @@ func TestStatusRoundTrip(t *testing.T) {
 	if got.Fingerprint != res.Fingerprint || got.Verdict != res.Verdict {
 		t.Fatalf("persisted result (%s, %s) != returned (%s, %s)",
 			got.Fingerprint, got.Verdict, res.Fingerprint, res.Verdict)
+	}
+}
+
+// blockRunner occupies a pool slot until release is closed.
+type blockRunner struct {
+	key     string
+	release <-chan struct{}
+}
+
+func (r blockRunner) Key() string { return r.key }
+
+func (r blockRunner) Run(ctx context.Context, _ nsa.Budget) (*jobs.Outcome, error) {
+	select {
+	case <-r.release:
+		return &jobs.Outcome{Verdict: jobs.VerdictCompleted}, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// TestRunWaitsOutBackpressure: with the pool's only worker busy and its
+// one queue slot taken, a compositional run waits for room instead of
+// failing with jobs.ErrQueueFull, and completes once the pool drains.
+func TestRunWaitsOutBackpressure(t *testing.T) {
+	pool := jobs.New(jobs.Options{Workers: 1, QueueDepth: 1})
+	t.Cleanup(pool.Close)
+	release := make(chan struct{})
+	for _, key := range []string{"busy", "queued"} {
+		if _, err := pool.Submit(blockRunner{key: key, release: release}); err != nil {
+			t.Fatal(err)
+		}
+		for pool.Metrics().Running == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if _, err := pool.Submit(blockRunner{key: "overflow", release: release}); err != jobs.ErrQueueFull {
+		t.Fatalf("third submission: err = %v, want the queue full", err)
+	}
+
+	sys := gen.MultiModule(4, 1)
+	type outcome struct {
+		res *compose.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := compose.New(pool, nil, nil).Run(context.Background(), sys)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		t.Fatalf("run ended while the queue was full: %v", o.err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	o := <-done
+	if o.err != nil {
+		t.Fatalf("run failed under backpressure: %v", o.err)
+	}
+	want, _ := globalSteps(t, sys)
+	if o.res.Verdict != want {
+		t.Fatalf("verdict %s, global product says %s", o.res.Verdict, want)
 	}
 }

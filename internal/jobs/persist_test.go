@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"stopwatchsim/internal/config"
@@ -165,5 +167,34 @@ func TestOutcomeDocRoundTrip(t *testing.T) {
 	again := outcomeFromDoc(docFromOutcome(round))
 	if *again.Persisted != *round.Persisted || again.Verdict != round.Verdict {
 		t.Fatal("re-persisting a restored outcome lost data")
+	}
+}
+
+// TestWaitSeesJobCounted: a job is counted in Metrics before Wait
+// returns, so a caller reading the counters right after a wait (the
+// service's ?wait=true followed by /metrics) never misses its own job —
+// even though a computed outcome is fsynced to the store after the
+// waiters wake.
+func TestWaitSeesJobCounted(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	p := New(Options{Workers: 1, Store: st})
+	defer p.Close()
+	for i := 0; i < 2000; i++ {
+		sys := testSystem(5)
+		sys.Name = fmt.Sprintf("counted-%d", i) // a distinct key: every job computes
+		jb, err := p.Submit(ConfigRun{Sys: sys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Wait(context.Background(), jb.ID); err != nil {
+			t.Fatal(err)
+		}
+		if m := p.Metrics(); m.Done != int64(i+1) || m.Running != 0 {
+			t.Fatalf("after wait %d: done=%d running=%d, want %d/0", i, m.Done, m.Running, i+1)
+		}
 	}
 }

@@ -390,7 +390,6 @@ func (p *Pool) Cancel(id string) bool {
 	case StatusQueued:
 		jb.userCanceled = true
 		p.finishLocked(jb, nil, context.Canceled)
-		p.metrics.jobCanceledQueued()
 		return true
 	case StatusRunning:
 		// Mark the cancellation as user-requested so the watchdog's requeue
@@ -431,7 +430,6 @@ func (p *Pool) Close() {
 			p.mu.Lock()
 			if jb.Status == StatusQueued {
 				p.finishLocked(jb, nil, context.Canceled)
-				p.metrics.jobCanceledQueued()
 			}
 			p.mu.Unlock()
 		default:
@@ -537,7 +535,6 @@ func (p *Pool) run(jb *Job, ec *engineCache, efl *obs.FlightRecorder) {
 		jb.CacheHit = true
 		p.finishLocked(jb, out, nil)
 		p.mu.Unlock()
-		p.metrics.lateCacheHit()
 		if lg := p.jobLogger(jb); lg != nil {
 			lg.Info("job served from cache at dequeue")
 		}
@@ -636,19 +633,13 @@ func (p *Pool) run(jb *Job, ec *engineCache, efl *obs.FlightRecorder) {
 	} else {
 		p.persistPostmortem(pm, lg)
 	}
-	var events int64
-	if out != nil {
-		events = int64(out.Engine.Actions + out.Engine.Delays)
-		p.metrics.recordTelemetry(out.Telemetry)
-	}
-	p.metrics.jobFinished(st, elapsed, events)
 	if lg != nil {
 		if err != nil {
 			lg.Warn("job finished", slog.String("status", string(st)),
 				slog.Duration("elapsed", elapsed), slog.String("error", err.Error()))
 		} else {
 			lg.Info("job finished", slog.String("status", string(st)),
-				slog.Duration("elapsed", elapsed), slog.Int64("events", events))
+				slog.Duration("elapsed", elapsed), slog.Int64("events", outcomeEvents(out)))
 		}
 	}
 }
@@ -683,8 +674,13 @@ func (p *Pool) safeRun(ctx context.Context, r Runner, b nsa.Budget) (out *Outcom
 	return r.Run(ctx, b)
 }
 
-// finishLocked moves jb to its terminal state. Callers hold p.mu.
+// finishLocked moves jb to its terminal state and counts the transition
+// before waking its waiters, so a caller returning from Wait always finds
+// the job in Metrics. The store write and the run's spans come later,
+// outside the lock: the computed path must not wait on an fsync. Callers
+// hold p.mu.
 func (p *Pool) finishLocked(jb *Job, out *Outcome, err error) {
+	prev := jb.Status
 	jb.Finished = time.Now()
 	if jb.Started.IsZero() {
 		jb.Started = jb.Finished
@@ -702,7 +698,27 @@ func (p *Pool) finishLocked(jb *Job, out *Outcome, err error) {
 		jb.Outcome = out
 		p.cache.Put(jb.Key, out)
 	}
+	switch {
+	case prev == StatusRunning:
+		if out != nil {
+			p.metrics.recordTelemetry(out.Telemetry)
+		}
+		p.metrics.jobFinished(jb.Status, jb.Finished.Sub(jb.Started), outcomeEvents(out))
+	case jb.CacheHit:
+		p.metrics.lateCacheHit()
+	default:
+		p.metrics.jobCanceledQueued()
+	}
 	close(jb.done)
+}
+
+// outcomeEvents counts the engine transitions a run fired, 0 without an
+// outcome.
+func outcomeEvents(out *Outcome) int64 {
+	if out == nil {
+		return 0
+	}
+	return int64(out.Engine.Actions + out.Engine.Delays)
 }
 
 // traceStatus renders a terminal status as a constant span detail, so

@@ -1,20 +1,9 @@
 package synth
 
-// The synthesis ops view, mirroring the campaign's: a live event stream
-// (the body of GET /v1/synth/{id}/events), budget-coverage/ETA
-// accounting from the points-duration histogram, and the straggler
-// report embedded in synthesis status. Publishing never blocks point
-// evaluation; a slow subscriber loses events.
+import "stopwatchsim/internal/explore"
 
-import (
-	"sort"
-	"time"
-
-	"stopwatchsim/internal/jobs"
-	"stopwatchsim/internal/obs"
-)
-
-// Event is one record on a synthesis's live event stream.
+// Event is one record on a synthesis's live event stream (the body of
+// GET /v1/synth/{id}/events), the synthesis wire form of explore.Event.
 type Event struct {
 	// Type is "point" (a point settled), "quarantine" (a point failed —
 	// for a synthesis that aborts the run) or "status" (terminal state).
@@ -38,163 +27,7 @@ type Event struct {
 	EtaMS       int64   `json:"eta_ms,omitempty"`
 }
 
-// Subscribe attaches a live event subscriber to a synthesis, returning
-// its channel and a cancel function. The channel is closed by cancel,
-// not by completion — subscribers see the terminal "status" event and
-// detach themselves.
-func (e *Engine) Subscribe(id string) (<-chan any, func(), bool) {
-	e.mu.Lock()
-	s := e.synths[id]
-	e.mu.Unlock()
-	if s == nil {
-		return nil, nil, false
-	}
-	ch, cancel := s.hub.Subscribe(16)
-	return ch, cancel, true
-}
-
-// StatusEvent builds a synthetic status event from the synthesis's
-// current state — the opening record of every SSE subscription, so a
-// subscriber to an already-terminal synthesis still sees its status.
-func (e *Engine) StatusEvent(id string) (Event, bool) {
-	e.mu.Lock()
-	s := e.synths[id]
-	e.mu.Unlock()
-	if s == nil {
-		return Event{}, false
-	}
-	s.mu.Lock()
-	ev := Event{Type: "status", Status: s.state.Status}
-	s.progressLocked(&ev)
-	s.mu.Unlock()
-	return ev, true
-}
-
-// progressLocked fills the progress fields of ev. Callers hold s.mu.
-func (s *Synthesis) progressLocked(ev *Event) {
-	ev.Synth = s.state.ID
-	ev.Done = s.state.Counts.Evaluations
-	total := s.state.Space.maxPoints()
-	if total <= 0 {
-		return
-	}
-	ev.Total = total
-	ev.CoveragePct = 100 * float64(ev.Done) / float64(total)
-	if ev.Done >= total {
-		return
-	}
-	if snap := s.durs.Snapshot(); snap.Count > 0 {
-		mean := float64(snap.Sum) / float64(snap.Count)
-		ev.EtaMS = int64(mean * float64(total-ev.Done) / float64(time.Millisecond))
-	}
-}
-
-// publishPoint pushes a settled point onto the stream.
-func (s *Synthesis) publishPoint(pr *PointRec) {
-	if s.hub.Subscribers() == 0 {
-		return
-	}
-	ev := Event{
-		Type:     "point",
-		Point:    idxKey(pr.Idx),
-		Source:   pr.Source,
-		Feasible: pr.Feasible,
-		Trace:    pr.Trace,
-	}
-	s.mu.Lock()
-	s.progressLocked(&ev)
-	s.mu.Unlock()
-	s.hub.Publish(ev)
-}
-
-// publishFailure pushes a failed (synthesis-aborting) point.
-func (s *Synthesis) publishFailure(idx []int, tc obs.TraceContext) {
-	if s.hub.Subscribers() == 0 {
-		return
-	}
-	ev := Event{Type: "quarantine", Point: idxKey(idx)}
-	if tc.Valid() {
-		ev.Trace = tc.Traceparent()
-	}
-	s.mu.Lock()
-	s.progressLocked(&ev)
-	s.mu.Unlock()
-	s.hub.Publish(ev)
-}
-
-// publishStatus pushes the synthesis's terminal state onto the stream.
-func (s *Synthesis) publishStatus(status string) {
-	if s.hub.Subscribers() == 0 {
-		return
-	}
-	ev := Event{Type: "status", Status: status}
-	s.mu.Lock()
-	s.progressLocked(&ev)
-	s.mu.Unlock()
-	s.hub.Publish(ev)
-}
-
-// maxStragglers bounds the straggler report.
-const maxStragglers = 5
-
-// noteStragglerLocked folds one computed point into the top-N straggler
-// report, keeping it sorted worst-first. Callers hold s.mu.
-func (s *Synthesis) noteStragglerLocked(pr *PointRec, done jobs.Job) {
-	if pr.Source != SourceComputed {
-		return
-	}
-	str := Straggler{Idx: pr.Idx, Values: pr.Values, Trace: pr.Trace, ElapsedNS: pr.ElapsedNS}
-	if done.Outcome != nil && done.Outcome.Telemetry != nil {
-		str.Phases = make(map[string]int64)
-		for _, ph := range done.Outcome.Telemetry.Phases {
-			if ph.Depth == 0 {
-				str.Phases[ph.Name] += ph.DurNS
-			}
-		}
-	}
-	st := s.state.Stragglers
-	i := sort.Search(len(st), func(i int) bool { return st[i].ElapsedNS < str.ElapsedNS })
-	if i >= maxStragglers {
-		return
-	}
-	st = append(st, Straggler{})
-	copy(st[i+1:], st[i:])
-	st[i] = str
-	if len(st) > maxStragglers {
-		st = st[:maxStragglers]
-	}
-	s.state.Stragglers = st
-}
-
-// pointTrace mints one point's child trace context, zero when the
-// synthesis is untraced.
-func (s *Synthesis) pointTrace() obs.TraceContext {
-	if s.trace.Valid() {
-		return s.trace.Child()
-	}
-	return obs.TraceContext{}
-}
-
-// closePointSpan records the point's span — submit through record —
-// under the synthesis's root. No-op for untraced points.
-func (s *Synthesis) closePointSpan(tc obs.TraceContext, idx []int, start time.Time) {
-	if tr := s.eng.pool.Tracer(); tr != nil && tc.Valid() {
-		tr.Record(tc, s.trace.SpanID, "synth.point", idxKey(idx),
-			start.UnixNano(), time.Since(start).Nanoseconds())
-	}
-}
-
-// armTraceLocked mints (or, on resume, re-adopts) the synthesis's root
-// trace context when the pool traces. Callers hold e.mu; the synthesis
-// goroutine is not yet running.
-func (s *Synthesis) armTraceLocked() {
-	if s.eng.pool.Tracer() == nil {
-		return
-	}
-	if tc, ok := obs.ParseTraceparent(s.state.Trace); ok {
-		s.trace = tc
-		return
-	}
-	s.trace = obs.NewTrace()
-	s.state.Trace = s.trace.Traceparent()
+func (*kind) Event(e explore.Event) any {
+	return Event{Type: e.Type, Synth: e.Run, Status: e.Status, Point: e.Point, Source: e.Source,
+		Feasible: e.Verdict, Trace: e.Trace, Done: e.Done, Total: e.Total, CoveragePct: e.CoveragePct, EtaMS: e.EtaMS}
 }

@@ -3,7 +3,8 @@ package synth
 import (
 	"context"
 	"fmt"
-	"sync"
+
+	"stopwatchsim/internal/explore"
 )
 
 // The refinement. Both modes are exact at lattice resolution when
@@ -73,54 +74,76 @@ func (b *box) center() []int {
 	return idx
 }
 
+// refiner runs one synthesis's refinement over its exploration run: it
+// decides which lattice points to ask for and the core answers them.
+type refiner struct {
+	r     *explore.Run[State, []int]
+	k     *kind
+	space *Space
+}
+
+// evaluate returns the verdict at a lattice point: from the run's point
+// log when already recorded, otherwise through the core.
+func (f *refiner) evaluate(ctx context.Context, idx []int) (bool, error) {
+	if res, ok := f.r.Lookup(idx); ok {
+		return res.Verdict, nil
+	}
+	res, err := f.r.Evaluate(ctx, idx)
+	return res.Verdict, err
+}
+
+// feasibleAt returns the recorded verdict at a lattice point, if any.
+func (f *refiner) feasibleAt(idx []int) (bool, bool) {
+	res, ok := f.r.Lookup(idx)
+	return res.Verdict, ok
+}
+
 // refine runs the synthesis to a complete cover and builds the region.
-func (s *Synthesis) refine(ctx context.Context, space *Space) (*Region, error) {
+func (f *refiner) refine(ctx context.Context) (*Region, error) {
+	space := f.space
 	r := &Region{
 		SchemaVersion: regionSchemaVersion,
-		ID:            s.snapshot().ID,
 		Name:          space.Name,
 		Dims:          append([]Dim(nil), space.Dims...),
 		TotalCells:    space.totalCells(),
 	}
+	f.r.Update(func(s *State) { r.ID = s.ID })
 	var err error
 	if len(space.Dims) == 1 {
-		err = s.refine1D(ctx, space, r)
+		err = f.refine1D(ctx, r)
 	} else {
-		err = s.refineBoxes(ctx, space, r)
+		err = f.refineBoxes(ctx, r)
 	}
 	if r.TotalCells > 0 {
 		r.Coverage = float64(r.DecidedCells) / float64(r.TotalCells)
 	}
-	if err != nil {
-		return r, err
-	}
-	return r, nil
+	return r, err
 }
 
 // emit appends a classified box to the region and bumps the counters;
 // witness is non-nil exactly for boundary boxes.
-func (s *Synthesis) emit(space *Space, r *Region, b box, verdict string, witness *Witness) {
+func (f *refiner) emit(r *Region, b box, verdict string, witness *Witness) {
 	cells := b.cells()
 	r.Boxes = append(r.Boxes, Box{
-		Min:     space.values(b.lo),
-		Max:     space.values(b.hi),
+		Min:     f.space.values(b.lo),
+		Max:     f.space.values(b.hi),
 		Verdict: verdict,
 		Cells:   cells,
 	})
-	s.mu.Lock()
-	switch verdict {
-	case VerdictFeasible:
-		s.state.Counts.BoxesFeasible++
-		r.DecidedCells += cells
-	case VerdictInfeasible:
-		s.state.Counts.BoxesInfeasible++
-		r.DecidedCells += cells
-	case VerdictBoundary:
-		s.state.Counts.BoxesBoundary++
-		r.Boundary = append(r.Boundary, *witness)
-	}
-	s.mu.Unlock()
-	s.eng.count(func(m *EngineMetrics) { m.BoxesClassified++ })
+	f.r.Update(func(s *State) {
+		switch verdict {
+		case VerdictFeasible:
+			s.Counts.BoxesFeasible++
+			r.DecidedCells += cells
+		case VerdictInfeasible:
+			s.Counts.BoxesInfeasible++
+			r.DecidedCells += cells
+		case VerdictBoundary:
+			s.Counts.BoxesBoundary++
+			r.Boundary = append(r.Boundary, *witness)
+		}
+	})
+	f.k.boxesClassified.Add(1)
 }
 
 // refine1D is the exact breakdown mode: two end probes orient the
@@ -128,15 +151,16 @@ func (s *Synthesis) emit(space *Space, r *Region, b box, verdict string, witness
 // and the cover is a decided prefix, the boundary cell, and a decided
 // suffix. Works for both directions of monotonicity (feasibility
 // shrinking or growing with the parameter value).
-func (s *Synthesis) refine1D(ctx context.Context, space *Space, r *Region) error {
+func (f *refiner) refine1D(ctx context.Context, r *Region) error {
+	space := f.space
 	n := space.Dims[0].cells()
 	whole := box{lo: []int{0}, hi: []int{n}}
 
-	f0, err := s.evaluate(ctx, space, []int{0})
+	f0, err := f.evaluate(ctx, []int{0})
 	if err != nil {
 		return err
 	}
-	fn, err := s.evaluate(ctx, space, []int{n})
+	fn, err := f.evaluate(ctx, []int{n})
 	if err != nil {
 		return err
 	}
@@ -146,7 +170,7 @@ func (s *Synthesis) refine1D(ctx context.Context, space *Space, r *Region) error
 		if f0 {
 			v = VerdictFeasible
 		}
-		s.emit(space, r, whole, v, nil)
+		f.emit(r, whole, v, nil)
 		return nil
 	}
 
@@ -158,14 +182,12 @@ func (s *Synthesis) refine1D(ctx context.Context, space *Space, r *Region) error
 			return err
 		}
 		mid := lo + (hi-lo)/2
-		fm, err := s.evaluate(ctx, space, []int{mid})
+		fm, err := f.evaluate(ctx, []int{mid})
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.state.Counts.BisectIterations++
-		s.mu.Unlock()
-		s.eng.count(func(m *EngineMetrics) { m.BisectIterations++ })
+		f.r.Update(func(s *State) { s.Counts.BisectIterations++ })
+		f.k.bisectIterations.Add(1)
 		if fm == f0 {
 			lo = mid
 		} else {
@@ -180,11 +202,11 @@ func (s *Synthesis) refine1D(ctx context.Context, space *Space, r *Region) error
 		w = Witness{Feasible: space.values([]int{hi}), Infeasible: space.values([]int{lo})}
 	}
 	if lo > 0 {
-		s.emit(space, r, box{lo: []int{0}, hi: []int{lo}}, loVerdict, nil)
+		f.emit(r, box{lo: []int{0}, hi: []int{lo}}, loVerdict, nil)
 	}
-	s.emit(space, r, box{lo: []int{lo}, hi: []int{hi}}, VerdictBoundary, &w)
+	f.emit(r, box{lo: []int{lo}, hi: []int{hi}}, VerdictBoundary, &w)
 	if hi < n {
-		s.emit(space, r, box{lo: []int{hi}, hi: []int{n}}, hiVerdict, nil)
+		f.emit(r, box{lo: []int{hi}, hi: []int{n}}, hiVerdict, nil)
 	}
 	return nil
 }
@@ -193,7 +215,8 @@ func (s *Synthesis) refine1D(ctx context.Context, space *Space, r *Region) error
 // boxes, each wave's corner and center probes evaluated concurrently
 // through the pool, each box then classified whole, split, or declared
 // an atomic boundary cell.
-func (s *Synthesis) refineBoxes(ctx context.Context, space *Space, r *Region) error {
+func (f *refiner) refineBoxes(ctx context.Context, r *Region) error {
+	space := f.space
 	d := len(space.Dims)
 	whole := box{lo: make([]int, d), hi: make([]int, d)}
 	for i := range space.Dims {
@@ -206,13 +229,21 @@ func (s *Synthesis) refineBoxes(ctx context.Context, space *Space, r *Region) er
 			return err
 		}
 		// Evaluate the whole wave's probes in one concurrent batch:
-		// corners shared between sibling boxes (split planes) dedup here.
+		// corners shared between sibling boxes (split planes) and with
+		// earlier waves are asked for once.
 		var probes [][]int
+		seen := make(map[string]bool)
 		for i := range queue {
-			probes = append(probes, queue[i].corners()...)
-			probes = append(probes, queue[i].center())
+			for _, p := range append(queue[i].corners(), queue[i].center()) {
+				if k := idxKey(p); !seen[k] {
+					seen[k] = true
+					if _, ok := f.feasibleAt(p); !ok {
+						probes = append(probes, p)
+					}
+				}
+			}
 		}
-		if err := s.evaluateBatch(ctx, space, probes); err != nil {
+		if err := f.r.EvaluateAll(ctx, probes, space.parallel()); err != nil {
 			return err
 		}
 
@@ -221,40 +252,40 @@ func (s *Synthesis) refineBoxes(ctx context.Context, space *Space, r *Region) er
 			corners := b.corners()
 			feasible, infeasible := 0, 0
 			for _, c := range corners {
-				f, ok := s.feasibleAt(c)
-				if !ok {
+				ok, known := f.feasibleAt(c)
+				if !known {
 					return fmt.Errorf("synth: internal: corner %s not evaluated", idxKey(c))
 				}
-				if f {
+				if ok {
 					feasible++
 				} else {
 					infeasible++
 				}
 			}
-			fc, ok := s.feasibleAt(b.center())
+			fc, ok := f.feasibleAt(b.center())
 			if !ok {
 				return fmt.Errorf("synth: internal: center %s not evaluated", idxKey(b.center()))
 			}
 			switch {
 			case infeasible == 0 && fc:
-				s.emit(space, r, b, VerdictFeasible, nil)
+				f.emit(r, b, VerdictFeasible, nil)
 			case feasible == 0 && !fc:
-				s.emit(space, r, b, VerdictInfeasible, nil)
+				f.emit(r, b, VerdictInfeasible, nil)
 			case b.atomic():
 				// Mixed corners at single-cell width: the boundary passes
 				// through this cell. The witness is the first feasible and
 				// first infeasible corner in enumeration order.
 				var w Witness
 				for _, c := range corners {
-					f, _ := s.feasibleAt(c)
-					if f && w.Feasible == nil {
+					ok, _ := f.feasibleAt(c)
+					if ok && w.Feasible == nil {
 						w.Feasible = space.values(c)
 					}
-					if !f && w.Infeasible == nil {
+					if !ok && w.Infeasible == nil {
 						w.Infeasible = space.values(c)
 					}
 				}
-				s.emit(space, r, b, VerdictBoundary, &w)
+				f.emit(r, b, VerdictBoundary, &w)
 			default:
 				// Split the widest dimension (lowest index on ties) at the
 				// lattice midpoint; children share the split plane, so its
@@ -270,79 +301,11 @@ func (s *Synthesis) refineBoxes(ctx context.Context, space *Space, r *Region) er
 				a.hi[dim] = mid
 				c.lo[dim] = mid
 				next = append(next, a, c)
-				s.mu.Lock()
-				s.state.Counts.Splits++
-				s.mu.Unlock()
-				s.eng.count(func(m *EngineMetrics) { m.Splits++ })
+				f.r.Update(func(s *State) { s.Counts.Splits++ })
+				f.k.splits.Add(1)
 			}
 		}
 		queue = next
 	}
 	return nil
-}
-
-// evaluateBatch evaluates a set of lattice points with bounded
-// concurrency, deduplicating against each other and against already
-// known verdicts. The first error cancels the rest of the batch.
-func (s *Synthesis) evaluateBatch(ctx context.Context, space *Space, pts [][]int) error {
-	seen := make(map[string]bool, len(pts))
-	var work [][]int
-	for _, p := range pts {
-		k := idxKey(p)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if _, ok := s.feasibleAt(p); ok {
-			continue
-		}
-		work = append(work, p)
-	}
-	if len(work) == 0 {
-		return nil
-	}
-	par := space.parallel()
-	if par > len(work) {
-		par = len(work)
-	}
-
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	feed := make(chan []int)
-	for i := 0; i < par; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range feed {
-				if _, err := s.evaluate(bctx, space, p); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel()
-				}
-			}
-		}()
-	}
-	for _, p := range work {
-		select {
-		case feed <- p:
-		case <-bctx.Done():
-		}
-		if bctx.Err() != nil {
-			break
-		}
-	}
-	close(feed)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
 }

@@ -10,20 +10,22 @@ package synth
 // timestamps or durations, so the same space always exports byte-equal
 // JSON.
 
+import "stopwatchsim/internal/explore"
+
 // Synthesis statuses.
 const (
-	StatusRunning  = "running"
-	StatusDone     = "done"
-	StatusFailed   = "failed"
-	StatusCanceled = "canceled"
+	StatusRunning  = explore.StatusRunning
+	StatusDone     = explore.StatusDone
+	StatusFailed   = explore.StatusFailed
+	StatusCanceled = explore.StatusCanceled
 )
 
 // Point sources: where a point's verdict came from.
 const (
-	SourceComputed   = "computed"   // a fresh engine run
-	SourceMemory     = "memory"     // the pool's in-memory result cache
-	SourceDisk       = "disk"       // the persistent store tier
-	SourceCheckpoint = "checkpoint" // the synthesis's own resumed state
+	SourceComputed   = explore.SourceComputed   // a fresh engine run
+	SourceMemory     = explore.SourceMemory     // the pool's in-memory result cache
+	SourceDisk       = explore.SourceDisk       // the persistent store tier
+	SourceCheckpoint = explore.SourceCheckpoint // the synthesis's own point log
 )
 
 // Box verdicts.
