@@ -2,9 +2,9 @@
 // performance regressions. It is the CI bench-regression gate: for every
 // guarded row (-rows, default the engine steady-state throughput — bare
 // and with the flight recorder armed — the §4 industrial-scale
-// interpretation, and the compositional half of the 16-module
-// compositional-vs-global experiment) the current report must stay
-// within -max-regress of
+// interpretation, the compositional half of the 16-module
+// compositional-vs-global experiment, and exhaustive Model Checking of
+// Table 1 at 13 jobs) the current report must stay within -max-regress of
 // the baseline's ns/op (default 0.15 = +15%) and must not increase
 // allocs/op: exactly for rows whose baseline is zero — the compiled
 // runtime's zero-allocation property is a hard invariant, not a soft
@@ -12,8 +12,9 @@
 // malloc-counter jitter single-shot measurements carry.
 //
 // Non-guarded rows present in both reports are printed for context but
-// never fail the run: Table 1's Model Checking columns are exponential and
-// noisy, and construction cost is tracked by its own benchmark.
+// never fail the run: the other Table 1 Model Checking columns are
+// exponential and noisy (13 jobs stands for them), and construction cost
+// is tracked by its own benchmark.
 //
 // Exit codes: 0 no regression, 1 regression or guarded row missing,
 // 2 usage.
@@ -22,7 +23,7 @@
 //
 //	benchdiff -baseline BENCH_old.json -current BENCH_new.json
 //	          [-max-regress 0.15]
-//	          [-rows EngineThroughput,EngineThroughput/flight,IndustrialScale/interpretation,ComposeVsGlobal/compositional]
+//	          [-rows EngineThroughput,EngineThroughput/flight,IndustrialScale/interpretation,ComposeVsGlobal/compositional,Table1/ModelChecking/jobs=13]
 package main
 
 import (
@@ -70,7 +71,7 @@ func main() {
 		basePath   = flag.String("baseline", "", "baseline benchtable -json report (required)")
 		curPath    = flag.String("current", "", "current benchtable -json report (required)")
 		maxRegress = flag.Float64("max-regress", 0.15, "allowed ns/op growth on guarded rows (0.15 = +15%)")
-		rowsFlag   = flag.String("rows", "EngineThroughput,EngineThroughput/flight,IndustrialScale/interpretation,ComposeVsGlobal/compositional",
+		rowsFlag   = flag.String("rows", "EngineThroughput,EngineThroughput/flight,IndustrialScale/interpretation,ComposeVsGlobal/compositional,Table1/ModelChecking/jobs=13",
 			"comma-separated guarded row names")
 	)
 	flag.Parse()

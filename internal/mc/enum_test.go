@@ -123,12 +123,23 @@ func TestEnumeratorMatchesNaive(t *testing.T) {
 			en := nsa.NewEnumerator(net)
 			var states, committedStates int
 			var kinds [3]int // enabled transitions by nsa.TransKind
+			// got and parts are reused across states, as the explorer
+			// reuses its frames' buffers; prefixed appends after a
+			// sentinel transition that must survive untouched.
+			var got, prefixed []nsa.Transition
+			var parts []nsa.Part
+			sentinel := nsa.Transition{Kind: nsa.Internal, Chan: sa.NoChan, Parts: []nsa.Part{{Aut: -1, Edge: -1}}}
 			bad := func(s *nsa.State) string {
 				states++
-				got := en.Enabled(s)
+				got, parts = en.Enabled(s, got[:0], parts[:0])
 				want := net.EnabledTransitions(s, nil)
 				if d := diffTransitions(net, got, want); d != "" {
 					t.Errorf("t=%d %s: %s", s.Time, net.LocationString(s), d)
+					return d
+				}
+				prefixed, _ = en.Enabled(s, append(prefixed[:0], sentinel), nil)
+				if d := diffTransitions(net, prefixed, append([]nsa.Transition{sentinel}, want...)); d != "" {
+					t.Errorf("t=%d %s: appending after a prefix: %s", s.Time, net.LocationString(s), d)
 					return d
 				}
 				for i := range want {

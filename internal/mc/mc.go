@@ -13,9 +13,7 @@ package mc
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"stopwatchsim/internal/expr"
 	"stopwatchsim/internal/nsa"
@@ -31,7 +29,9 @@ type Monitor interface {
 	Init() []int64
 	// Step consumes one fired transition (with the post-state s) and
 	// returns the successor monitor state; a non-empty bad string reports
-	// that the monitor reached its "bad" location.
+	// that the monitor reached its "bad" location. Step must not modify ms,
+	// which other successors share, but may return it unchanged. tr and s
+	// are valid only during the call: the explorer recycles search states.
 	Step(ms []int64, time int64, tr *nsa.Transition, net *nsa.Network, s *nsa.State) (next []int64, bad string)
 }
 
@@ -40,7 +40,9 @@ type Options struct {
 	// Horizon bounds model time, like the simulator's horizon. Required.
 	Horizon int64
 	// BadState, when non-nil, is evaluated on every reachable state; a
-	// non-empty string is a violation witness.
+	// non-empty string is a violation witness. s is valid only during the
+	// call: the explorer recycles search states, so a predicate that keeps
+	// anything of s must copy it.
 	BadState func(s *nsa.State) string
 	// Monitors observe every action transition.
 	Monitors []Monitor
@@ -76,23 +78,36 @@ type Result struct {
 	Complete bool
 }
 
-// frame is one level of the lazy depth-first search: the expanded state,
-// its monitor states, and the candidate transitions with the index of the
-// next one to try. Successors are generated one at a time, so memory is
+// node is a product state: the network state and one vector per monitor.
+type node struct {
+	s  *nsa.State
+	ms [][]int64
+}
+
+// frame is one level of the lazy depth-first search: the expanded product
+// state, and the candidate transitions (with their Parts) and the index of
+// the next one to try. Successors are generated one at a time, so memory is
 // bounded by the search depth plus the visited set — not the frontier.
 type frame struct {
-	s     *nsa.State
-	ms    [][]int64
+	node
 	cands []nsa.Transition
+	parts []nsa.Part
 	next  int
 }
 
 // Explore walks all maximal-progress runs of net up to the horizon.
 // It returns an error for malformed models (time-stop deadlocks, semantics
-// violations), mirroring the simulator. The visited set stores 128-bit
-// FNV-1a hashes of the product state (network state × monitor states), so
-// memory stays proportional to the number of distinct states, not their
-// size. It is ExploreContext under context.Background().
+// violations), mirroring the simulator. The visited set stores a 128-bit
+// fingerprint of each product state (network state × monitor states),
+// hashed word by word with fixed constants, so memory stays proportional to
+// the number of distinct states, not their size; the probability that two
+// of n distinct states share a fingerprint is about n²/2¹²⁹. Search states
+// are recycled: a successor that is a duplicate or a leaf, and the state of
+// a finished frame, are overwritten by the next successor, and finished
+// frames keep their candidate buffers for the next expansion, so the states
+// and buffers the search allocates follow its depth, not the number of
+// transitions it fires.
+// It is ExploreContext under context.Background().
 func Explore(net *nsa.Network, opts Options) (Result, error) {
 	return ExploreContext(context.Background(), net, opts)
 }
@@ -130,92 +145,48 @@ func ExploreContext(ctx context.Context, net *nsa.Network, opts Options) (res Re
 				Msg: fmt.Sprintf("during exploration: %v", re)}
 		}
 	}()
-	visited := make(map[[16]byte]struct{})
-	var keyBuf []byte
-	hasher := fnv.New128a()
+	visited := make(map[fingerprint]struct{})
 	// enum computes enabled transitions through the network's compiled form
-	// (pre-classified edges, the engine's guard tiers); each call returns
-	// freshly allocated transitions, which DFS frames retain.
+	// (pre-classified edges, the engine's guard tiers) into the buffers of
+	// the frame that will expand them.
 	enum := nsa.NewEnumerator(net)
 	enum.Probe = opts.Probe
 
-	seen := func(s *nsa.State, ms [][]int64) bool {
-		keyBuf = s.AppendKey(keyBuf[:0])
-		for _, m := range ms {
-			for _, v := range m {
-				var tmp [8]byte
-				binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-				keyBuf = append(keyBuf, tmp[:]...)
-			}
+	// free holds product states whose contents are dead: duplicates,
+	// leaves and the states of finished frames. stack[depth:] holds
+	// finished frames, reused with their buffers by the next push.
+	var free []node
+	stack := make([]*frame, 0, 64)
+	depth := 0
+
+	// successor returns a product state holding a copy of src's network
+	// state; its monitor vectors are for the caller to fill.
+	successor := func(src node) node {
+		if n := len(free); n > 0 {
+			nd := free[n-1]
+			free = free[:n-1]
+			copy(nd.s.Locs, src.s.Locs)
+			copy(nd.s.Clocks, src.s.Clocks)
+			copy(nd.s.Vars, src.s.Vars)
+			nd.s.Time = src.s.Time
+			return nd
 		}
-		hasher.Reset()
-		hasher.Write(keyBuf)
-		var k [16]byte
-		hasher.Sum(k[:0])
-		if _, ok := visited[k]; ok {
-			return true
-		}
-		visited[k] = struct{}{}
-		return false
+		return node{s: src.s.Clone(), ms: make([][]int64, len(src.ms))}
 	}
 
-	// expand registers a newly reached product state and returns its frame,
-	// or nil when it was already visited (or is a terminal leaf).
-	expand := func(s *nsa.State, ms [][]int64) (*frame, error) {
-		if !opts.NoDedup && seen(s, ms) {
-			return nil, nil
-		}
-		res.States++
-		if opts.BadState != nil {
-			if bad := opts.BadState(s); bad != "" && res.Bad == "" {
-				res.Bad = bad
-			}
-		}
-		cands := enum.Enabled(s)
-		if len(cands) > 0 {
-			return &frame{s: s, ms: ms, cands: cands}, nil
-		}
-		// No actions: delay in place until an action becomes enabled, or
-		// terminate, exactly like the simulator.
+	// expand registers a newly reached product state and pushes its frame.
+	// A state already visited, or one that only delays into a visited state
+	// or a terminal leaf, is recycled instead.
+	expand := func(nd node) error {
+		s := nd.s
 		for {
-			curTime = s.Time
-			if s.Time >= opts.Horizon {
-				res.Leaves++
-				return nil, nil
-			}
-			info := net.DelayBound(s)
-			if info.Blocked {
-				return nil, &nsa.DeadlockError{Kind: nsa.Timelock, Time: s.Time,
-					Msg:     "exploration reached a state where a committed location or urgent synchronization forbids delay with no transition enabled",
-					Blocked: net.BlockedReport(s)}
-			}
-			d := info.Step()
-			if d == expr.NoBound {
-				res.Leaves++ // quiescent
-				return nil, nil
-			}
-			if d <= 0 {
-				return nil, &nsa.DeadlockError{Kind: nsa.Timelock, Time: s.Time,
-					Msg:     fmt.Sprintf("exploration reached a state where an invariant bounds delay at %d with no enabled transition", d),
-					Blocked: net.BlockedReport(s)}
-			}
-			if rerr := tracker.Step(s.Time); rerr != nil {
-				rerr.States = res.States
-				res.Complete = false
-				return nil, rerr
-			}
-			if remaining := opts.Horizon - s.Time; d > remaining {
-				d = remaining
-			}
-			if err := net.Advance(s, d); err != nil {
-				return nil, err
-			}
-			if p := opts.Probe; p != nil {
-				p.Steps.Add(1)
-				p.Delays.Add(1)
-			}
-			if !opts.NoDedup && seen(s, ms) {
-				return nil, nil
+			if !opts.NoDedup {
+				n := len(visited)
+				visited[fingerprintOf(s, nd.ms)] = struct{}{}
+				if len(visited) == n {
+					free = append(free, nd)
+					return nil
+				}
 			}
 			res.States++
 			if opts.BadState != nil {
@@ -223,28 +194,69 @@ func ExploreContext(ctx context.Context, net *nsa.Network, opts Options) (res Re
 					res.Bad = bad
 				}
 			}
-			cands = enum.Enabled(s)
-			if len(cands) > 0 {
-				return &frame{s: s, ms: ms, cands: cands}, nil
+			if depth == len(stack) {
+				stack = append(stack, &frame{})
+			}
+			f := stack[depth]
+			f.cands, f.parts = enum.Enabled(s, f.cands[:0], f.parts[:0])
+			if len(f.cands) > 0 {
+				f.node, f.next = nd, 0
+				depth++
+				return nil
+			}
+			// No actions: delay in place until an action becomes enabled,
+			// or terminate, exactly like the simulator.
+			curTime = s.Time
+			if s.Time >= opts.Horizon {
+				res.Leaves++
+				free = append(free, nd)
+				return nil
+			}
+			info := net.DelayBound(s)
+			if info.Blocked {
+				return &nsa.DeadlockError{Kind: nsa.Timelock, Time: s.Time,
+					Msg:     "exploration reached a state where a committed location or urgent synchronization forbids delay with no transition enabled",
+					Blocked: net.BlockedReport(s)}
+			}
+			d := info.Step()
+			if d == expr.NoBound {
+				res.Leaves++ // quiescent
+				free = append(free, nd)
+				return nil
+			}
+			if d <= 0 {
+				return &nsa.DeadlockError{Kind: nsa.Timelock, Time: s.Time,
+					Msg:     fmt.Sprintf("exploration reached a state where an invariant bounds delay at %d with no enabled transition", d),
+					Blocked: net.BlockedReport(s)}
+			}
+			if rerr := tracker.Step(s.Time); rerr != nil {
+				rerr.States = res.States
+				res.Complete = false
+				return rerr
+			}
+			if remaining := opts.Horizon - s.Time; d > remaining {
+				d = remaining
+			}
+			if err := net.Advance(s, d); err != nil {
+				return err
+			}
+			if p := opts.Probe; p != nil {
+				p.Steps.Add(1)
+				p.Delays.Add(1)
 			}
 		}
 	}
 
-	initMs := make([][]int64, len(opts.Monitors))
+	root := node{s: net.InitialState(), ms: make([][]int64, len(opts.Monitors))}
 	for i, m := range opts.Monitors {
-		initMs[i] = m.Init()
+		root.ms[i] = m.Init()
 	}
-	root, err := expand(net.InitialState(), initMs)
-	if err != nil {
+	if err := expand(root); err != nil {
 		return res, err
 	}
-	stack := make([]*frame, 0, 1024)
-	if root != nil {
-		stack = append(stack, root)
-	}
 
-	for len(stack) > 0 {
-		top := stack[len(stack)-1]
+	for depth > 0 {
+		top := stack[depth-1]
 		curTime = top.s.Time
 		if res.States > maxStates {
 			res.Complete = false
@@ -253,7 +265,8 @@ func ExploreContext(ctx context.Context, net *nsa.Network, opts Options) (res Re
 			return res, rerr
 		}
 		if top.next >= len(top.cands) {
-			stack = stack[:len(stack)-1]
+			free = append(free, top.node)
+			depth--
 			continue
 		}
 		if rerr := tracker.Step(top.s.Time); rerr != nil {
@@ -261,12 +274,11 @@ func ExploreContext(ctx context.Context, net *nsa.Network, opts Options) (res Re
 			res.Complete = false
 			return res, rerr
 		}
-		tr := top.cands[top.next]
+		tr := &top.cands[top.next]
 		top.next++
 
-		succ := top.s.Clone()
-		fireTime := succ.Time
-		if err := net.Fire(succ, &tr); err != nil {
+		succ := successor(top.node)
+		if err := net.Fire(succ.s, tr); err != nil {
 			return res, err
 		}
 		res.Transitions++
@@ -282,23 +294,15 @@ func ExploreContext(ctx context.Context, net *nsa.Network, opts Options) (res Re
 				p.SyncBroadcast.Add(1)
 			}
 		}
-		ms := top.ms
-		if len(opts.Monitors) > 0 {
-			ms = make([][]int64, len(opts.Monitors))
-			for mi, m := range opts.Monitors {
-				next, bad := m.Step(top.ms[mi], fireTime, &tr, net, succ)
-				ms[mi] = next
-				if bad != "" && res.Bad == "" {
-					res.Bad = fmt.Sprintf("%s: %s", m.Name(), bad)
-				}
+		for mi, m := range opts.Monitors {
+			next, bad := m.Step(top.ms[mi], top.s.Time, tr, net, succ.s)
+			succ.ms[mi] = next
+			if bad != "" && res.Bad == "" {
+				res.Bad = fmt.Sprintf("%s: %s", m.Name(), bad)
 			}
 		}
-		f, err := expand(succ, ms)
-		if err != nil {
+		if err := expand(succ); err != nil {
 			return res, err
-		}
-		if f != nil {
-			stack = append(stack, f)
 		}
 	}
 	res.Complete = true

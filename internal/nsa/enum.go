@@ -168,9 +168,9 @@ func (n *Network) emitBroadcastCombos(buf []Transition, ch sa.ChanID, snd Part, 
 // states may be presented in any order — this is the model checker's
 // enumeration path.
 //
-// Returned transitions and their Parts are freshly allocated per call and
-// may be retained indefinitely by the caller. An Enumerator is not safe for
-// concurrent use.
+// Enabled appends into caller-owned buffers, so a caller that reuses them
+// (the model checker keeps one pair per search frame) enumerates without
+// allocating. An Enumerator is not safe for concurrent use.
 type Enumerator struct {
 	net  *Network
 	cn   *compiledNet
@@ -190,17 +190,21 @@ func NewEnumerator(net *Network) *Enumerator {
 	return &Enumerator{net: net, cn: cn, cl: newChanLists(len(net.Chans)), regs: make([]int64, cn.maxRegs)}
 }
 
-// Enabled returns the enabled transitions of s in the same canonical order,
-// and with the same committed-location and process-priority filters, as
-// Network.EnabledTransitions.
-func (en *Enumerator) Enabled(s *State) []Transition {
+// Enabled appends the enabled transitions of s to buf, in the same
+// canonical order and with the same committed-location and
+// process-priority filters as Network.EnabledTransitions, and returns the
+// grown buf together with parts grown by their participants: the appended
+// transitions' Parts are subslices of parts' backing array (or of the one it
+// grew into). They stay valid until the caller overwrites that array, by
+// passing parts[:0] to a later call.
+func (en *Enumerator) Enabled(s *State, buf []Transition, parts []Part) ([]Transition, []Part) {
 	n, cn := en.net, en.cn
 	en.env.n = n
 	en.env.s = s
 	committed := n.anyCommitted(s)
 	en.cl.reset()
-	var arena partsArena // fresh per call: results are retained by callers
-	var buf []Transition
+	arena := partsArena{buf: parts}
+	start := len(buf)
 	vars, clocks := s.Vars, s.Clocks
 	counting := en.Probe != nil
 	var evals, bytecode, opaque int64
@@ -241,5 +245,6 @@ func (en *Enumerator) Enabled(s *State) []Transition {
 		p.GuardBytecode.Add(bytecode)
 		p.GuardOpaque.Add(opaque)
 	}
-	return n.filterPriority(buf)
+	kept := n.filterPriority(buf[start:])
+	return buf[:start+len(kept)], arena.buf
 }

@@ -60,9 +60,7 @@ func TestEngineProbeEnumeratorPath(t *testing.T) {
 	probe := &obs.Probe{}
 	en := NewEnumerator(net)
 	en.Probe = probe
-	if cands := en.Enabled(net.InitialState()); cands != nil {
-		_ = cands
-	}
+	en.Enabled(net.InitialState(), nil, nil)
 	c := probe.Snapshot()
 	if c.EnabledCalls != 1 {
 		t.Errorf("EnabledCalls = %d, want 1", c.EnabledCalls)

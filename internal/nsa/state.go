@@ -50,8 +50,8 @@ func (s *State) Clone() *State {
 }
 
 // AppendKey appends a canonical binary encoding of s to buf and returns the
-// result; equal states yield equal keys. Used by the model checker's
-// visited set.
+// result; equal states yield equal keys. Used by the engine's exact-key
+// livelock probe.
 func (s *State) AppendKey(buf []byte) []byte {
 	var tmp [8]byte
 	put := func(v int64) {
