@@ -556,7 +556,7 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("engine_sync_binary_total", "Binary channel synchronizations fired.", c.SyncBinary)
 	counter("engine_sync_broadcast_total", "Broadcast synchronizations fired.", c.SyncBroadcast)
 	counter("engine_guard_evals_total", "Guard evaluations on the enumeration hot path.", c.GuardEvals)
-	counter("engine_guard_compiled_total", "Guard evaluations through compiled closures.", c.GuardCompiled)
+	counter("engine_guard_compiled_total", "Guard evaluations off the opaque path: bytecode, inlined comparisons and unguarded edges.", c.GuardCompiled)
 	counter("engine_guard_opaque_total", "Guard evaluations through the opaque interface path.", c.GuardOpaque)
 	counter("engine_enabled_calls_total", "Enabled-set queries.", c.EnabledCalls)
 	counter("engine_recomputes_total", "Per-automaton enabled-set recomputations (dirty).", c.Recomputes)

@@ -1,6 +1,10 @@
 package stopwatchsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"testing"
@@ -27,14 +31,104 @@ func runBackend(m *model.Model, b nsa.Backend, check bool) (*nsa.SyncTrace, *nsa
 	return tr, eng.State(), res, err
 }
 
+var updateDigests = flag.Bool("update", false, "rewrite "+digestsFile)
+
+// digestsFile pins what the naive oracle does on every configuration the
+// differentials run. Comparing compiled with naive cannot see a change to
+// the model library, since it moves both sides; the pins can.
+const digestsFile = "testdata/engine-digests.json"
+
+// runPin is one configuration's pinned naive run: a SHA-256 over its
+// SyncTrace and final State (see runDigest), its Result and its error.
+type runPin struct {
+	SHA256 string     `json:"sha256"`
+	Result nsa.Result `json:"result"`
+	Err    string     `json:"err,omitempty"`
+}
+
+// runDigest hashes a trace and a final state in a fixed text form: one
+// line per event (time, kind, channel, then aut:edge per participant),
+// then the state's time, locations, clocks and variables.
+func runDigest(tr *nsa.SyncTrace, s *nsa.State) string {
+	h := sha256.New()
+	for _, e := range tr.Events {
+		fmt.Fprintf(h, "%d %d %d", e.Time, e.Kind, e.Chan)
+		for _, p := range e.Parts {
+			fmt.Fprintf(h, " %d:%d", p.Aut, p.Edge)
+		}
+		fmt.Fprintln(h)
+	}
+	fmt.Fprintf(h, "time %d\nlocs %v\nclocks %v\nvars %v\n", s.Time, s.Locs, s.Clocks, s.Vars)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// pins checks runs against digestsFile, or with -update collects them and
+// merges them into the file when the test ends.
+type pins struct {
+	t    *testing.T
+	want map[string]runPin
+	got  map[string]runPin
+}
+
+func loadPins(t *testing.T) *pins {
+	t.Helper()
+	p := &pins{t: t, want: map[string]runPin{}, got: map[string]runPin{}}
+	b, err := os.ReadFile(digestsFile)
+	if err != nil && !(*updateDigests && os.IsNotExist(err)) {
+		t.Fatal(err)
+	}
+	if err == nil {
+		if err := json.Unmarshal(b, &p.want); err != nil {
+			t.Fatalf("%s: %v", digestsFile, err)
+		}
+	}
+	if *updateDigests {
+		t.Cleanup(p.write)
+	}
+	return p
+}
+
+func (p *pins) check(name string, tr *nsa.SyncTrace, s *nsa.State, res nsa.Result, err error) {
+	p.t.Helper()
+	got := runPin{SHA256: runDigest(tr, s), Result: res}
+	if err != nil {
+		got.Err = err.Error()
+	}
+	if *updateDigests {
+		p.got[name] = got
+		return
+	}
+	want, ok := p.want[name]
+	if !ok {
+		p.t.Errorf("%s: no pinned run in %s (go test -run %s -update)", name, digestsFile, p.t.Name())
+	} else if got != want {
+		p.t.Errorf("%s: naive run %+v, pinned %+v", name, got, want)
+	}
+}
+
+func (p *pins) write() {
+	for name, pin := range p.got {
+		p.want[name] = pin
+	}
+	b, err := json.MarshalIndent(p.want, "", "  ")
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	if err := os.WriteFile(digestsFile, append(b, '\n'), 0o644); err != nil {
+		p.t.Fatal(err)
+	}
+}
+
 // diffBackends runs one configuration on the compiled backend and on naive
 // re-enumeration, the oracle, and requires byte-identical traces, final
-// states and results. When check is true the compiled run additionally
-// enables CheckEngine, which compares its candidate list and delay bound
-// against a naive enumeration of the same state at every step.
-func diffBackends(t *testing.T, name string, m *model.Model, check bool) {
+// states and results; the naive run must also match its pin. When check is
+// true the compiled run additionally enables CheckEngine, which compares
+// its candidate list and delay bound against a naive enumeration of the
+// same state at every step.
+func diffBackends(t *testing.T, p *pins, name string, m *model.Model, check bool) {
 	t.Helper()
 	wantTr, wantS, wantRes, wantErr := runBackend(m, nsa.BackendNaive, false)
+	p.check(name, wantTr, wantS, wantRes, wantErr)
 	gotTr, gotS, gotRes, gotErr := runBackend(m, nsa.BackendCompiled, check)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: naive err %v, compiled err %v", name, wantErr, gotErr)
@@ -70,6 +164,7 @@ func TestEngineDifferential(t *testing.T) {
 			Periods: []int64{10, 20}, MaxUtil: 0.95, Messages: 2},
 	}
 	const seeds = 20 // 20 seeds × 3 param sets = 60 configurations
+	p := loadPins(t)
 	for si, params := range paramSets {
 		for seed := int64(0); seed < seeds; seed++ {
 			name := fmt.Sprintf("params=%d/seed=%d", si, seed)
@@ -84,30 +179,49 @@ func TestEngineDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: build: %v", name, err)
 			}
-			diffBackends(t, name, m, seed%3 == 0)
+			diffBackends(t, p, name, m, seed%3 == 0)
 		}
 	}
 }
 
 // TestEngineDifferentialQuickstart runs the differential (with CheckEngine)
-// over the shipped quickstart example and the campaign points its grid spec would
-// materialize from it, so the checked corpus includes hand-written
-// configurations alongside the random ones.
+// over the shipped quickstart example, the campaign points its grid spec
+// would materialize from it, and the avionics and IMITATOR examples, so the
+// checked corpus includes hand-written configurations alongside the random
+// ones.
 func TestEngineDifferentialQuickstart(t *testing.T) {
-	f, err := os.Open("examples/quickstart/quickstart.xml")
-	if err != nil {
-		t.Fatal(err)
+	p := loadPins(t)
+	readSys := func(path string) *config.System {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		sys, err := config.ReadXML(f)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return sys
 	}
-	defer f.Close()
-	sys, err := config.ReadXML(f)
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{
+		"examples/avionics/avionics.xml",
+		"examples/imi/astrium-fp.xml",
+		"examples/imi/generic-edf.xml",
+	} {
+		m, err := model.Build(readSys(path))
+		if err != nil {
+			t.Fatalf("%s: build: %v", path, err)
+		}
+		diffBackends(t, p, path, m, true)
 	}
+
+	sys := readSys("examples/quickstart/quickstart.xml")
 	m, err := model.Build(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffBackends(t, "quickstart", m, true)
+	diffBackends(t, p, "quickstart", m, true)
 
 	sf, err := os.Open("examples/quickstart/campaign-grid.json")
 	if err != nil {
@@ -128,7 +242,7 @@ func TestEngineDifferentialQuickstart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", pt.Key(), err)
 		}
-		diffBackends(t, "quickstart/"+pt.Key(), pm, true)
+		diffBackends(t, p, "quickstart/"+pt.Key(), pm, true)
 	}
 }
 

@@ -2,24 +2,24 @@ package expr
 
 import "fmt"
 
-// Register-based expression bytecode: the third evaluation tier after the
-// tree walkers (ast.go) and the closure chains (compile.go). A resolved
-// expression compiles once into a flat instruction slice evaluated by a
-// single switch loop over an int64 register file, so the interpretation hot
-// path pays no per-node closure calls and no interface dispatch. The
-// dominant guard shapes (clock cmp const, var cmp const) compile to single
-// superinstructions.
+// Register-based expression bytecode: the compiled form of expressions and
+// the second of the two evaluators, beside the tree walkers (ast.go), which
+// define the semantics. A resolved expression compiles once into a flat
+// instruction slice evaluated by a single switch loop over an int64
+// register file, so the interpretation hot path pays no per-node calls and
+// no interface dispatch. The dominant guard shapes (clock cmp const, var
+// cmp const) compile to single superinstructions.
 //
 // Compilation is conservative: CompileBoolProg / CompileIntProg /
 // CompileUpdateProg return nil for any node they cannot prove well-typed
-// (unresolved identifiers, type confusion), and callers fall back to the
-// closure compiler, which preserves the tree walkers' canonical
-// *RuntimeError for malformed nodes. For everything the bytecode does
-// accept, its dynamic semantics — including panic messages for division and
-// modulo by zero, array indices out of range and domain violations, and the
-// evaluation order that determines which panic fires first — match the tree
-// walkers exactly; bytecode_fuzz_test.go holds the two tiers to that
-// contract.
+// (unresolved identifiers, type confusion). Callers then evaluate the node
+// with the tree walker through an environment, the engine's opaque path,
+// which raises the canonical *RuntimeError for malformed nodes. For
+// everything the bytecode does accept, its dynamic semantics — including
+// panic messages for division and modulo by zero, array indices out of
+// range and domain violations, and the evaluation order that determines
+// which panic fires first — match the tree walkers exactly;
+// bytecode_fuzz_test.go holds the VM to that contract.
 
 // opCode enumerates the bytecode instructions. A/B/C are register or index
 // operands, K an inline constant (see instr).
@@ -260,9 +260,9 @@ func b2i(b bool) int64 {
 
 // CompileBoolProg compiles a resolved bool-typed node to bytecode. It
 // returns nil when the node is not provably well-typed; callers then fall
-// back to the closure path.
+// back to the tree walker.
 func CompileBoolProg(n Node) *Prog {
-	b := &progBuilder{ok: true}
+	b := newProgBuilder()
 	b.compileBool(n, 0)
 	b.emit(instr{Op: opRet, A: 0}, nil)
 	return b.finish()
@@ -270,7 +270,7 @@ func CompileBoolProg(n Node) *Prog {
 
 // CompileIntProg compiles a resolved int-typed node to bytecode, or nil.
 func CompileIntProg(n Node) *Prog {
-	b := &progBuilder{ok: true}
+	b := newProgBuilder()
 	b.compileInt(n, 0)
 	b.emit(instr{Op: opRet, A: 0}, nil)
 	return b.finish()
@@ -281,7 +281,7 @@ func CompileIntProg(n Node) *Prog {
 // array target's index expression evaluates (and range-checks) before the
 // value; scalar targets evaluate the value directly.
 func CompileUpdateProg(l StmtList) *Prog {
-	b := &progBuilder{ok: true}
+	b := newProgBuilder()
 	for _, s := range l {
 		switch t := s.Target.(type) {
 		case *VarRef:
@@ -307,6 +307,12 @@ type progBuilder struct {
 	src  []Node
 	nreg int
 	ok   bool
+}
+
+// newProgBuilder pre-sizes for the few instructions a typical guard or
+// update compiles to, so a small program costs two slice allocations.
+func newProgBuilder() *progBuilder {
+	return &progBuilder{ok: true, code: make([]instr, 0, 8), src: make([]Node, 0, 8)}
 }
 
 func (b *progBuilder) finish() *Prog {
@@ -397,6 +403,23 @@ func cmpOp(op Op) (opCode, bool) {
 	return 0, false
 }
 
+// mirrorCmp maps "const op x" onto the equivalent "x op' const".
+func mirrorCmp(op Op) (Op, bool) {
+	switch op {
+	case OpLT:
+		return OpGT, true
+	case OpLE:
+		return OpGE, true
+	case OpGT:
+		return OpLT, true
+	case OpGE:
+		return OpLE, true
+	case OpEQ, OpNE:
+		return op, true
+	}
+	return op, false
+}
+
 func (b *progBuilder) compileCmp(n *Binary, dst int32) {
 	op, okOp := cmpOp(n.Op)
 	if !okOp {
@@ -405,7 +428,7 @@ func (b *progBuilder) compileCmp(n *Binary, dst int32) {
 	}
 	if n.X.Type() == TypeBool || n.Y.Type() == TypeBool {
 		// == and != over booleans; other operators are type errors the
-		// closure fallback reports canonically.
+		// tree walker reports canonically.
 		if (n.Op != OpEQ && n.Op != OpNE) || n.X.Type() != TypeBool || n.Y.Type() != TypeBool {
 			b.ok = false
 			return

@@ -1,23 +1,31 @@
 package expr
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
-// evalTiers evaluates a bool node through all three tiers (tree walker,
-// closure chain, bytecode VM) and checks they agree, returning the value.
+// evalBoolTiers evaluates a bool node through both evaluators (tree walker
+// and bytecode VM) and checks they agree on the value or on the
+// *RuntimeError, returning the tree walker's value.
 func evalBoolTiers(t *testing.T, src string, vars, clocks []int64) bool {
 	t.Helper()
 	n := MustParseResolve(src, testScope(), TypeBool)
-	tree := n.EvalBool(testEnv{vars: vars, clocks: clocks})
-	closure := CompileBool(n)(vars, clocks)
 	prog := CompileBoolProg(n)
 	if prog == nil {
 		t.Fatalf("%q: CompileBoolProg returned nil", src)
 	}
-	vm := prog.EvalBool(vars, clocks, make([]int64, prog.NumRegs()))
-	if tree != closure || tree != vm {
-		t.Fatalf("%q: tree=%t closure=%t vm=%t", src, tree, closure, vm)
+	var tree bool
+	w := runOutcome(func() string {
+		tree = n.EvalBool(testEnv{vars: vars, clocks: clocks})
+		return fmt.Sprint(tree)
+	})
+	v := runOutcome(func() string {
+		return fmt.Sprint(prog.EvalBool(vars, clocks, make([]int64, prog.NumRegs())))
+	})
+	if w != v {
+		t.Fatalf("%q: tree=%s vm=%s", src, w, v)
 	}
 	return tree
 }
@@ -25,15 +33,20 @@ func evalBoolTiers(t *testing.T, src string, vars, clocks []int64) bool {
 func evalIntTiers(t *testing.T, src string, vars, clocks []int64) int64 {
 	t.Helper()
 	n := MustParseResolve(src, testScope(), TypeInt)
-	tree := n.EvalInt(testEnv{vars: vars, clocks: clocks})
-	closure := CompileInt(n)(vars, clocks)
 	prog := CompileIntProg(n)
 	if prog == nil {
 		t.Fatalf("%q: CompileIntProg returned nil", src)
 	}
-	vm := prog.EvalInt(vars, clocks, make([]int64, prog.NumRegs()))
-	if tree != closure || tree != vm {
-		t.Fatalf("%q: tree=%d closure=%d vm=%d", src, tree, closure, vm)
+	var tree int64
+	w := runOutcome(func() string {
+		tree = n.EvalInt(testEnv{vars: vars, clocks: clocks})
+		return fmt.Sprint(tree)
+	})
+	v := runOutcome(func() string {
+		return fmt.Sprint(prog.EvalInt(vars, clocks, make([]int64, prog.NumRegs())))
+	})
+	if w != v {
+		t.Fatalf("%q: tree=%s vm=%s", src, w, v)
 	}
 	return tree
 }
@@ -138,15 +151,15 @@ func TestBytecodePanicParity(t *testing.T) {
 	clocks := []int64{0, 0}
 	for _, c := range cases {
 		n := MustParseResolve(c.src, testScope(), TypeInt)
-		closureMsg := capture(t, func() { CompileInt(n)(c.vars, clocks) })
 		prog := CompileIntProg(n)
 		if prog == nil {
 			t.Fatalf("%q: not compiled", c.src)
 		}
 		regs := make([]int64, prog.NumRegs())
-		vmMsg := capture(t, func() { prog.EvalInt(c.vars, clocks, regs) })
-		if closureMsg == "" || closureMsg != vmMsg {
-			t.Errorf("%q: closure panic %q, vm panic %q", c.src, closureMsg, vmMsg)
+		tree := runOutcome(func() string { return fmt.Sprint(n.EvalInt(testEnv{vars: c.vars, clocks: clocks})) })
+		vm := runOutcome(func() string { return fmt.Sprint(prog.EvalInt(c.vars, clocks, regs)) })
+		if !strings.HasPrefix(tree, "panic:") || tree != vm {
+			t.Errorf("%q: tree %s, vm %s", c.src, tree, vm)
 		}
 	}
 }
@@ -250,7 +263,7 @@ func TestBytecodeUpdatePanicParity(t *testing.T) {
 }
 
 // TestBytecodeRejectsOpaque pins that the compiler bails (returns nil) on
-// nodes it cannot prove well-typed, leaving them to the closure fallback.
+// nodes it cannot prove well-typed, leaving them to the tree walker.
 func TestBytecodeRejectsOpaque(t *testing.T) {
 	if CompileBoolProg(&Ident{Name: "z"}) != nil {
 		t.Error("unresolved identifier compiled")

@@ -23,22 +23,19 @@ func (e *InvariantError) Error() string {
 	return fmt.Sprintf("expr: invalid invariant %q: %s", e.Expr, e.Msg)
 }
 
-// invAtom is a normalized invariant atom.
-type invAtom struct {
-	clock  int  // clock index; -1 for clock-free atoms
-	strict bool // clock < bound rather than clock <= bound
-	bound  Node // clock-free int expression (nil for clock-free atoms)
-	free   Node // the original clock-free boolean atom
-
-	boundFn IntFn  // compiled bound (clock atoms)
-	freeFn  BoolFn // compiled free atom (clock-free atoms)
+// InvariantAtom is one normalized invariant atom.
+type InvariantAtom struct {
+	Clock  int  // clock index; -1 for clock-free atoms
+	Strict bool // clock < Bound rather than clock <= Bound
+	Bound  Node // clock-free int expression (nil for clock-free atoms)
+	Free   Node // the original clock-free boolean atom
 }
 
 // Invariant is a checked location invariant supporting both satisfaction
 // tests and maximum-delay computation.
 type Invariant struct {
 	src   string
-	atoms []invAtom
+	atoms []InvariantAtom
 }
 
 // True is the trivial invariant (always satisfied, no time bound).
@@ -88,7 +85,7 @@ func (inv *Invariant) collect(n Node) error {
 	}
 	clocks := Clocks(n, nil)
 	if len(clocks) == 0 {
-		inv.atoms = append(inv.atoms, invAtom{clock: -1, free: n, freeFn: CompileBool(n)})
+		inv.atoms = append(inv.atoms, InvariantAtom{Clock: -1, Free: n})
 		return nil
 	}
 	b, ok := n.(*Binary)
@@ -114,7 +111,7 @@ func (inv *Invariant) collect(n Node) error {
 	if len(Clocks(boundSide, nil)) != 0 {
 		return &InvariantError{Expr: inv.src, Msg: fmt.Sprintf("bound of clock atom %q must be clock-free", n)}
 	}
-	inv.atoms = append(inv.atoms, invAtom{clock: cr.Index, strict: strict, bound: boundSide, boundFn: CompileInt(boundSide)})
+	inv.atoms = append(inv.atoms, InvariantAtom{Clock: cr.Index, Strict: strict, Bound: boundSide})
 	return nil
 }
 
@@ -124,15 +121,15 @@ func (inv *Invariant) String() string { return inv.src }
 // Holds reports whether the invariant is satisfied in env.
 func (inv *Invariant) Holds(env Env) bool {
 	for _, a := range inv.atoms {
-		if a.clock < 0 {
-			if !a.free.EvalBool(env) {
+		if a.Clock < 0 {
+			if !a.Free.EvalBool(env) {
 				return false
 			}
 			continue
 		}
-		c := env.Clock(a.clock)
-		b := a.bound.EvalInt(env)
-		if a.strict {
+		c := env.Clock(a.Clock)
+		b := a.Bound.EvalInt(env)
+		if a.Strict {
 			if c >= b {
 				return false
 			}
@@ -150,60 +147,13 @@ func (inv *Invariant) Holds(env Env) bool {
 func (inv *Invariant) MaxDelay(env Env, running func(clock int) bool) int64 {
 	d := NoBound
 	for _, a := range inv.atoms {
-		if a.clock < 0 || !running(a.clock) {
+		if a.Clock < 0 || !running(a.Clock) {
 			continue // variables and stopped clocks do not change under delay
 		}
-		c := env.Clock(a.clock)
-		b := a.bound.EvalInt(env)
+		c := env.Clock(a.Clock)
+		b := a.Bound.EvalInt(env)
 		room := b - c
-		if a.strict {
-			room--
-		}
-		if room < d {
-			d = room
-		}
-	}
-	return d
-}
-
-// HoldsRaw is Holds evaluated directly against the raw variable and clock
-// arrays through the compiled atom functions.
-func (inv *Invariant) HoldsRaw(vars, clocks []int64) bool {
-	for i := range inv.atoms {
-		a := &inv.atoms[i]
-		if a.clock < 0 {
-			if !a.freeFn(vars, clocks) {
-				return false
-			}
-			continue
-		}
-		c := clocks[a.clock]
-		b := a.boundFn(vars, clocks)
-		if a.strict {
-			if c >= b {
-				return false
-			}
-		} else if c > b {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxDelayRaw is MaxDelay evaluated against the raw arrays, with the running
-// status of each clock given as a stopped bitmap (stopped[c] true means clock
-// c does not advance under delay).
-func (inv *Invariant) MaxDelayRaw(vars, clocks []int64, stopped []bool) int64 {
-	d := NoBound
-	for i := range inv.atoms {
-		a := &inv.atoms[i]
-		if a.clock < 0 || stopped[a.clock] {
-			continue
-		}
-		c := clocks[a.clock]
-		b := a.boundFn(vars, clocks)
-		room := b - c
-		if a.strict {
+		if a.Strict {
 			room--
 		}
 		if room < d {
@@ -220,51 +170,25 @@ func (inv *Invariant) MaxDelayRaw(vars, clocks []int64, stopped []bool) int64 {
 func (inv *Invariant) AppendDeps(vars, clocks []int) ([]int, []int) {
 	for i := range inv.atoms {
 		a := &inv.atoms[i]
-		if a.clock < 0 {
-			vars = Vars(a.free, vars)
+		if a.Clock < 0 {
+			vars = Vars(a.Free, vars)
 			continue
 		}
-		clocks = append(clocks, a.clock)
-		vars = Vars(a.bound, vars)
+		clocks = append(clocks, a.Clock)
+		vars = Vars(a.Bound, vars)
 	}
 	return vars, clocks
 }
 
-// InvariantAtom is the read-only view of one normalized invariant atom,
-// exposed so backend compilers can flatten invariants into their own
-// representations. For clock atoms (Clock >= 0) Bound/BoundFn give the
-// clock-free upper bound; for clock-free atoms (Clock == -1) Free/FreeFn
-// give the boolean conjunct.
-type InvariantAtom struct {
-	Clock   int
-	Strict  bool
-	Bound   Node
-	Free    Node
-	BoundFn IntFn
-	FreeFn  BoolFn
-}
-
-// AtomList returns the invariant's normalized atoms.
-func (inv *Invariant) AtomList() []InvariantAtom {
-	out := make([]InvariantAtom, len(inv.atoms))
-	for i := range inv.atoms {
-		a := &inv.atoms[i]
-		out[i] = InvariantAtom{
-			Clock:   a.clock,
-			Strict:  a.strict,
-			Bound:   a.bound,
-			Free:    a.free,
-			BoundFn: a.boundFn,
-			FreeFn:  a.freeFn,
-		}
-	}
-	return out
-}
+// AtomList returns the invariant's normalized atoms, so backend compilers
+// can flatten invariants into their own representations. Callers must not
+// modify it.
+func (inv *Invariant) AtomList() []InvariantAtom { return inv.atoms }
 
 // HasClockBound reports whether the invariant constrains at least one clock.
 func (inv *Invariant) HasClockBound() bool {
 	for _, a := range inv.atoms {
-		if a.clock >= 0 {
+		if a.Clock >= 0 {
 			return true
 		}
 	}

@@ -123,11 +123,7 @@ func (m *Model) buildPort(nb *nsa.Builder, p int, fwd map[config.PortHop]sa.Chan
 	for _, ph := range hops {
 		txOf[int64(ph.Message)] = sys.Messages[ph.Message].TxTime
 	}
-	b.Edge(idle, busy,
-		&sa.GuardFunc{Desc: name + "_len > 0",
-			F:     func(env expr.Env) bool { return env.Var(ps.qlen) > 0 },
-			Reads: &sa.Deps{Vars: []sa.VarID{sa.VarID(ps.qlen)}}},
-		sa.None,
+	b.Edge(idle, busy, exprGuard(nb, name+"_len > 0"), sa.None,
 		&sa.UpdateFunc{Desc: name + ": start service", F: func(env expr.MutableEnv) {
 			h := ps.dequeue(env)
 			env.SetVar(ps.cur, h)
@@ -139,8 +135,8 @@ func (m *Model) buildPort(nb *nsa.Builder, p int, fwd map[config.PortHop]sa.Chan
 			Clocks: []sa.ClockID{y},
 		}})
 
-	// Service completion: forward to the next hop or deliver.
-	clearCur := func(env expr.MutableEnv) { env.SetVar(ps.cur, -1) }
+	// Service completion: forward to the next hop or deliver. The guard is
+	// a Go function so that it wakes only for the message in service.
 	for _, ph := range hops {
 		ph := ph
 		route := sys.RouteOf(ph.Message)
@@ -165,20 +161,11 @@ func (m *Model) buildPort(nb *nsa.Builder, p int, fwd map[config.PortHop]sa.Chan
 			},
 		}
 		if ph.Hop == len(route)-1 {
-			drID := int(m.dataReady[ph.Message])
-			b.SendEdge(busy, idle, g, m.linkReceiveCh[ph.Message],
-				&sa.UpdateFunc{Desc: fmt.Sprintf("%s: deliver %s", name, sys.Messages[ph.Message].Name),
-					F: func(env expr.MutableEnv) {
-						env.SetVar(drID, env.Var(drID)+1)
-						clearCur(env)
-					},
-					Writes: &sa.Deps{Vars: []sa.VarID{sa.VarID(drID), sa.VarID(ps.cur)}}})
+			b.SendEdge(busy, idle, g, m.linkReceiveCh[ph.Message], exprUpdate(nb, fmt.Sprintf(
+				"is_data_ready_%d := is_data_ready_%d + 1, %s_cur := -1", ph.Message, ph.Message, name)))
 		} else {
 			next := fwd[config.PortHop{Message: ph.Message, Hop: ph.Hop + 1}]
-			b.SendEdge(busy, idle, g, next,
-				&sa.UpdateFunc{Desc: fmt.Sprintf("%s: forward %s", name, sys.Messages[ph.Message].Name),
-					F:      func(env expr.MutableEnv) { clearCur(env) },
-					Writes: &sa.Deps{Vars: []sa.VarID{sa.VarID(ps.cur)}}})
+			b.SendEdge(busy, idle, g, next, exprUpdate(nb, name+"_cur := -1"))
 		}
 	}
 	return b.Build()

@@ -146,7 +146,6 @@ func (m *Model) buildScheduler(nb *nsa.Builder, pi int) (*sa.Automaton, error) {
 	k := len(p.Tasks)
 	logic := m.policyFor(pi)
 	curID := int(pv.cur)
-	lastFinID := int(pv.lastFin)
 
 	b := sa.NewBuilder(fmt.Sprintf("TS_%s_%s", p.Policy, p.Name))
 	asleep := b.Loc("Asleep")
@@ -168,17 +167,9 @@ func (m *Model) buildScheduler(nb *nsa.Builder, pi int) (*sa.Automaton, error) {
 	}
 	b.Init(asleep)
 
-	finDeps := &sa.Deps{Vars: []sa.VarID{sa.VarID(lastFinID), sa.VarID(curID)}}
-	curDeps := &sa.Deps{Vars: []sa.VarID{sa.VarID(curID)}}
-	gFinCur := &sa.GuardFunc{Desc: fmt.Sprintf("last_finished_%d == cur_%d", pi, pi),
-		F:     func(env expr.Env) bool { return env.Var(lastFinID) == env.Var(curID) },
-		Reads: finDeps}
-	gFinOther := &sa.GuardFunc{Desc: fmt.Sprintf("last_finished_%d != cur_%d", pi, pi),
-		F:     func(env expr.Env) bool { return env.Var(lastFinID) != env.Var(curID) },
-		Reads: finDeps}
-	clearCur := &sa.UpdateFunc{Desc: fmt.Sprintf("cur_%d := -1", pi),
-		F:      func(env expr.MutableEnv) { env.SetVar(curID, -1) },
-		Writes: curDeps}
+	gFinCur := exprGuard(nb, fmt.Sprintf("last_finished_%d == cur_%d", pi, pi))
+	gFinOther := exprGuard(nb, fmt.Sprintf("last_finished_%d != cur_%d", pi, pi))
+	clearCur := exprUpdate(nb, fmt.Sprintf("cur_%d := -1", pi))
 
 	// Asleep: hear releases and kills, wake on the window start.
 	b.RecvEdge(asleep, asleep, nil, pv.readyCh, nil)
@@ -193,9 +184,7 @@ func (m *Model) buildScheduler(nb *nsa.Builder, pi int) (*sa.Automaton, error) {
 		g := &sa.GuardFunc{Desc: fmt.Sprintf("pick_%d == %d", pi, ti),
 			F:     func(env expr.Env) bool { return logic.pick(env) == ti },
 			Reads: &logic.pickReads}
-		u := &sa.UpdateFunc{Desc: fmt.Sprintf("cur_%d := %d", pi, ti),
-			F:      func(env expr.MutableEnv) { env.SetVar(curID, int64(ti)) },
-			Writes: curDeps}
+		u := exprUpdate(nb, fmt.Sprintf("cur_%d := %d", pi, ti))
 		b.SendEdge(dispatch, running, g, m.tasks[config.TaskRef{Part: pi, Task: ti}].execCh, u)
 	}
 	b.Edge(dispatch, idle,
@@ -251,10 +240,7 @@ func (m *Model) buildScheduler(nb *nsa.Builder, pi int) (*sa.Automaton, error) {
 	// killed at this same instant instead.
 	b.RecvEdge(preSleep, preSleepFin, nil, pv.finishedCh, nil)
 	for ti := 0; ti < k; ti++ {
-		ti := ti
-		g := &sa.GuardFunc{Desc: fmt.Sprintf("cur_%d == %d", pi, ti),
-			F:     func(env expr.Env) bool { return env.Var(curID) == int64(ti) },
-			Reads: curDeps}
+		g := exprGuard(nb, fmt.Sprintf("cur_%d == %d", pi, ti))
 		b.SendEdge(preSleep, asleep, g,
 			m.tasks[config.TaskRef{Part: pi, Task: ti}].preemptCh, clearCur)
 	}

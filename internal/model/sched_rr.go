@@ -23,8 +23,6 @@ func (m *Model) buildSchedulerRR(nb *nsa.Builder, pi int) (*sa.Automaton, error)
 	pv := &m.parts[pi]
 	k := len(p.Tasks)
 	quantum := p.Quantum
-	curID := int(pv.cur)
-	lastFinID := int(pv.lastFin)
 
 	rrLast := nb.Var(fmt.Sprintf("rr_last_%d", pi), -1)
 	rrLastID := int(rrLast)
@@ -74,17 +72,9 @@ func (m *Model) buildSchedulerRR(nb *nsa.Builder, pi int) (*sa.Automaton, error)
 	preSleepFin := b.Loc("PreSleepFin", sa.Committed(), stopQ)
 	b.Init(asleep)
 
-	finDeps := &sa.Deps{Vars: []sa.VarID{sa.VarID(lastFinID), sa.VarID(curID)}}
-	curDeps := &sa.Deps{Vars: []sa.VarID{sa.VarID(curID)}}
-	gFinCur := &sa.GuardFunc{Desc: fmt.Sprintf("last_finished_%d == cur_%d", pi, pi),
-		F:     func(env expr.Env) bool { return env.Var(lastFinID) == env.Var(curID) },
-		Reads: finDeps}
-	gFinOther := &sa.GuardFunc{Desc: fmt.Sprintf("last_finished_%d != cur_%d", pi, pi),
-		F:     func(env expr.Env) bool { return env.Var(lastFinID) != env.Var(curID) },
-		Reads: finDeps}
-	clearCur := &sa.UpdateFunc{Desc: fmt.Sprintf("cur_%d := -1", pi),
-		F:      func(env expr.MutableEnv) { env.SetVar(curID, -1) },
-		Writes: curDeps}
+	gFinCur := exprGuard(nb, fmt.Sprintf("last_finished_%d == cur_%d", pi, pi))
+	gFinOther := exprGuard(nb, fmt.Sprintf("last_finished_%d != cur_%d", pi, pi))
+	clearCur := exprUpdate(nb, fmt.Sprintf("cur_%d := -1", pi))
 
 	// Asleep.
 	b.RecvEdge(asleep, asleep, nil, pv.readyCh, nil)
@@ -98,13 +88,7 @@ func (m *Model) buildSchedulerRR(nb *nsa.Builder, pi int) (*sa.Automaton, error)
 		g := &sa.GuardFunc{Desc: fmt.Sprintf("rr_pick_%d == %d", pi, ti),
 			F:     func(env expr.Env) bool { return pick(env) == ti },
 			Reads: pickReads}
-		u := &sa.UpdateFunc{Desc: fmt.Sprintf("cur_%d := %d, rr_last_%d := %d, %s := 0", pi, ti, pi, ti, qName),
-			F: func(env expr.MutableEnv) {
-				env.SetVar(curID, int64(ti))
-				env.SetVar(rrLastID, int64(ti))
-				env.SetClock(int(q), 0)
-			},
-			Writes: &sa.Deps{Vars: []sa.VarID{sa.VarID(curID), sa.VarID(rrLastID)}, Clocks: []sa.ClockID{q}}}
+		u := exprUpdate(nb, fmt.Sprintf("cur_%d := %d, rr_last_%d := %d, %s := 0", pi, ti, pi, ti, qName))
 		b.SendEdge(dispatch, running, g, m.tasks[config.TaskRef{Part: pi, Task: ti}].execCh, u)
 	}
 	b.Edge(dispatch, idle,
@@ -131,10 +115,7 @@ func (m *Model) buildSchedulerRR(nb *nsa.Builder, pi int) (*sa.Automaton, error)
 	// same instant instead) and re-dispatch.
 	b.RecvEdge(rotate, rotateFin, nil, pv.finishedCh, nil)
 	for ti := 0; ti < k; ti++ {
-		ti := ti
-		g := &sa.GuardFunc{Desc: fmt.Sprintf("cur_%d == %d", pi, ti),
-			F:     func(env expr.Env) bool { return env.Var(curID) == int64(ti) },
-			Reads: curDeps}
+		g := exprGuard(nb, fmt.Sprintf("cur_%d == %d", pi, ti))
 		b.SendEdge(rotate, dispatch, g,
 			m.tasks[config.TaskRef{Part: pi, Task: ti}].preemptCh, clearCur)
 	}
@@ -144,10 +125,7 @@ func (m *Model) buildSchedulerRR(nb *nsa.Builder, pi int) (*sa.Automaton, error)
 	// PreSleep, as in the fixed-priority scheduler.
 	b.RecvEdge(preSleep, preSleepFin, nil, pv.finishedCh, nil)
 	for ti := 0; ti < k; ti++ {
-		ti := ti
-		g := &sa.GuardFunc{Desc: fmt.Sprintf("cur_%d == %d", pi, ti),
-			F:     func(env expr.Env) bool { return env.Var(curID) == int64(ti) },
-			Reads: curDeps}
+		g := exprGuard(nb, fmt.Sprintf("cur_%d == %d", pi, ti))
 		b.SendEdge(preSleep, asleep, g,
 			m.tasks[config.TaskRef{Part: pi, Task: ti}].preemptCh, clearCur)
 	}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"strings"
 
 	"stopwatchsim/internal/config"
 	"stopwatchsim/internal/expr"
@@ -86,25 +87,13 @@ func (m *Model) buildTask(nb *nsa.Builder, ref config.TaskRef) (*sa.Automaton, e
 	finished := b.Loc("Finished", stopX)
 	b.Init(release)
 
-	// allDataReady: every incoming link has delivered the message for the
+	// all_data_ready: every incoming link has delivered the message for the
 	// current job index (is_data_ready_h >= job+1). Variable-only guard.
-	dataReady := func(env expr.Env) bool {
-		k := env.Var(int(tv.job))
-		for _, h := range incoming {
-			if env.Var(int(m.dataReady[h])) < k+1 {
-				return false
-			}
-		}
-		return true
+	ready := make([]string, len(incoming))
+	for i, h := range incoming {
+		ready[i] = fmt.Sprintf("is_data_ready_%d >= %s + 1", h, jobName)
 	}
-	dataDeps := &sa.Deps{Vars: []sa.VarID{tv.job}}
-	for _, h := range incoming {
-		dataDeps.Vars = append(dataDeps.Vars, m.dataReady[h])
-	}
-	gData := &sa.GuardFunc{Desc: name("all_data_ready"), F: dataReady, Reads: dataDeps}
-	gNoData := &sa.GuardFunc{Desc: "!" + name("all_data_ready"),
-		F:     func(env expr.Env) bool { return !dataReady(env) },
-		Reads: dataDeps}
+	allDataReady := strings.Join(ready, " && ")
 
 	becomeReady := exprUpdate(nb, fmt.Sprintf("is_ready_%d_%d := 1", pi, ti))
 
@@ -113,8 +102,9 @@ func (m *Model) buildTask(nb *nsa.Builder, ref config.TaskRef) (*sa.Automaton, e
 	if len(incoming) == 0 {
 		b.SendEdge(release, waitExec, nil, pv.readyCh, becomeReady)
 	} else {
+		gData := exprGuard(nb, allDataReady)
 		b.SendEdge(release, waitExec, gData, pv.readyCh, becomeReady)
-		b.Edge(release, waitData, gNoData, sa.None, nil)
+		b.Edge(release, waitData, exprGuard(nb, "!("+allDataReady+")"), sa.None, nil)
 
 		// WaitData: deadline kill first (a job whose deadline is reached
 		// cannot become ready), then the data-ready announcement.

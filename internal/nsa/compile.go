@@ -9,11 +9,11 @@ import (
 // per-location data lives in contiguous slices indexed by dense IDs assigned
 // at build time (locBase[ai]+loc addresses a location, small integers
 // address guard programs, updates and invariants), guards and updates are
-// compiled into expression bytecode where possible with closure and opaque
-// fallbacks, and invariants are flattened into atom arrays with a dedicated
-// constant-bound fast path. One compiledNet is built per Network by
-// Builder.Build and shared, immutably, by every compiledRuntime and
-// Enumerator over it.
+// compiled into expression bytecode where possible with the opaque
+// interface path as the fallback, and invariants are flattened into atom
+// arrays with a dedicated constant-bound fast path. One compiledNet is
+// built per Network by Builder.Build and shared, immutably, by every
+// compiledRuntime and Enumerator over it.
 type compiledNet struct {
 	// locBase[ai] + int(loc) is the dense ID of location loc of automaton
 	// ai, indexing locs.
@@ -22,7 +22,6 @@ type compiledNet struct {
 
 	progs   []*expr.Prog    // guard bytecode (gProg)
 	cmps    []expr.CmpConst // flattened compare-const conjunctions (gCmpList)
-	fns     []expr.BoolFn   // guard closures (gClosure)
 	slows   []sa.Guard      // opaque guards (gOpaque), evaluated via the env
 	wakers  []sa.Waker      // guard wake-up providers, referenced by cedge.waker
 	updates []cupdate       // edge updates, referenced by updOf
@@ -39,12 +38,22 @@ type compiledNet struct {
 	broadcast   []bool  // per channel
 	urgentChans []int32 // urgent channel IDs, ascending
 
-	// maxRegs is the largest register file any compiled program needs; a
-	// runtime allocates one scratch slice of this length for all of them.
+	// maxRegs is the largest register file any compiled program (guard,
+	// update or invariant atom) needs; a runtime allocates one scratch
+	// slice of this length for all of them.
 	maxRegs int
+
+	// Build time only, nil afterwards: the progs index of each compiled
+	// guard and the updates index of each compiled update, so an
+	// expression shared by several edges compiles once.
+	guardProg map[*sa.ExprGuard]int32
+	updateIdx map[*sa.ExprUpdate]int32
 }
 
-// cguardKind classifies how a guard is evaluated, cheapest first.
+// cguardKind classifies how a guard is evaluated, cheapest first. Every
+// tier but gOpaque is compiled; an expression guard the bytecode compiler
+// rejects is gOpaque, and its tree walker raises the canonical
+// *RuntimeError.
 type cguardKind uint8
 
 const (
@@ -53,7 +62,6 @@ const (
 	gClockCmpK                   // clocks[gidx] gop gk, inlined
 	gCmpList                     // conjunction: cmps[gidx : gidx+gn], inlined loop
 	gProg                        // bytecode: progs[gidx]
-	gClosure                     // closure: fns[gidx]
 	gOpaque                      // interface: slows[gidx] via the env
 )
 
@@ -72,7 +80,7 @@ type cedge struct {
 	dir   sa.SyncDir
 	gkind cguardKind
 	gop   expr.Op // comparison operator for gVarCmpK / gClockCmpK
-	gidx  int32   // var/clock index, or cmps/progs/fns/slows index, per gkind
+	gidx  int32   // var/clock index, or cmps/progs/slows index, per gkind
 	gn    int32   // conjunct count for gCmpList
 	gk    int64   // comparison constant for gVarCmpK / gClockCmpK
 	// waker indexes wakers when the guard can report a wake-up delay; -1
@@ -94,23 +102,23 @@ type cupdate struct {
 type catomKind uint8
 
 const (
-	aConstBound catomKind = iota // clock ≤/< K
-	aFnBound                     // clock ≤/< boundFn(vars, clocks)
-	aFree                        // clock-free boolean conjunct
+	aConstBound catomKind = iota // clock ≤/< k
+	aProgBound                   // clock ≤/< prog, an int program
+	aFree                        // clock-free boolean conjunct: prog
 )
 
 // catom is one flattened invariant atom.
 type catom struct {
-	kind    catomKind
-	clock   int32
-	strict  bool
-	k       int64       // aConstBound
-	boundFn expr.IntFn  // aFnBound
-	freeFn  expr.BoolFn // aFree
+	kind   catomKind
+	clock  int32
+	strict bool
+	k      int64      // aConstBound
+	prog   *expr.Prog // aProgBound, aFree
 }
 
-// cinv is one location invariant: flattened atoms, or the opaque interface
-// fallback (slow non-nil, atoms nil).
+// cinv is one location invariant: flattened atoms, or the interface
+// fallback (slow non-nil, atoms nil) for invariants that are not
+// expressions or have an atom the bytecode compiler rejects.
 type cinv struct {
 	atoms []catom
 	slow  sa.Invariant
@@ -133,6 +141,8 @@ func buildCompiledNet(n *Network) *compiledNet {
 		updOf:     make([][]int32, len(n.Automata)),
 		prio:      make([]int32, len(n.Automata)),
 		broadcast: make([]bool, len(n.Chans)),
+		guardProg: map[*sa.ExprGuard]int32{},
+		updateIdx: map[*sa.ExprUpdate]int32{},
 	}
 	for i, v := range n.Vars {
 		cn.domains[i] = expr.VarDomain{Name: v.Name, Min: v.Min, Max: v.Max, Bounded: v.HasBounds}
@@ -169,6 +179,7 @@ func buildCompiledNet(n *Network) *compiledNet {
 			cn.locs = append(cn.locs, c)
 		}
 	}
+	cn.guardProg, cn.updateIdx = nil, nil
 	return cn
 }
 
@@ -180,7 +191,9 @@ func (cn *compiledNet) trackRegs(p *expr.Prog) {
 
 // compileEdge classifies and compiles the guard of edge ei, picking the
 // cheapest evaluation tier it can prove correct: inlined var/clock-vs-const
-// comparison, bytecode, compiled closure, or the opaque interface path.
+// comparison, bytecode, or the opaque interface path. Wakers go by guard
+// type, not tier: an expression guard keeps its non-volatile clock-atom
+// scan even on the opaque path.
 func (cn *compiledNet) compileEdge(a *sa.Automaton, ei int) cedge {
 	e := &a.Edges[ei]
 	ce := cedge{edge: int32(ei), ch: sa.NoChan, waker: -1}
@@ -204,15 +217,16 @@ func (cn *compiledNet) compileEdge(a *sa.Automaton, ei int) cedge {
 			ce.gidx = int32(len(cn.cmps))
 			ce.gn = int32(len(list) - len(cn.cmps))
 			cn.cmps = list
+		} else if i, ok := cn.guardProg[g]; ok {
+			ce.gkind, ce.gidx = gProg, i
 		} else if p := expr.CompileBoolProg(g.Node); p != nil {
 			ce.gkind = gProg
 			ce.gidx = int32(len(cn.progs))
+			cn.guardProg[g] = ce.gidx
 			cn.progs = append(cn.progs, p)
 			cn.trackRegs(p)
 		} else {
-			ce.gkind = gClosure
-			ce.gidx = int32(len(cn.fns))
-			cn.fns = append(cn.fns, expr.CompileBool(g.Node))
+			ce.gkind = gOpaque
 		}
 		if !g.ClockFree() {
 			ce.waker = int32(len(cn.wakers))
@@ -220,8 +234,6 @@ func (cn *compiledNet) compileEdge(a *sa.Automaton, ei int) cedge {
 		}
 	default:
 		ce.gkind = gOpaque
-		ce.gidx = int32(len(cn.slows))
-		cn.slows = append(cn.slows, g)
 		if w, ok := g.(sa.Waker); ok {
 			if gf, isFn := g.(*sa.GuardFunc); !isFn || gf.NextEnableF != nil {
 				ce.waker = int32(len(cn.wakers))
@@ -229,6 +241,10 @@ func (cn *compiledNet) compileEdge(a *sa.Automaton, ei int) cedge {
 				ce.volatileWaker = true
 			}
 		}
+	}
+	if ce.gkind == gOpaque {
+		ce.gidx = int32(len(cn.slows))
+		cn.slows = append(cn.slows, e.Guard)
 	}
 	return ce
 }
@@ -240,50 +256,65 @@ func (cn *compiledNet) addUpdate(u sa.Update) int32 {
 	if u == nil {
 		return -1
 	}
+	eu, isExpr := u.(*sa.ExprUpdate)
+	if i, ok := cn.updateIdx[eu]; isExpr && ok {
+		return i
+	}
 	cu := cupdate{slow: u}
-	if eu, ok := u.(*sa.ExprUpdate); ok {
+	if isExpr {
 		if p := expr.CompileUpdateProg(eu.Stmts); p != nil {
 			cu.prog = p
 			cn.trackRegs(p)
 		}
 	}
+	i := int32(len(cn.updates))
 	cn.updates = append(cn.updates, cu)
-	return int32(len(cn.updates) - 1)
+	if isExpr {
+		cn.updateIdx[eu] = i
+	}
+	return i
 }
 
 // addInvariant flattens a location invariant into the invs table, returning
 // its index (-1 for trivially true). Expression invariants flatten to atom
 // arrays — constant clock bounds become immediate k comparisons, the common
-// case in the component library — and anything else keeps the interface
-// fallback.
+// case in the component library, and other atoms compile to bytecode —
+// and anything else keeps the interface fallback.
 func (cn *compiledNet) addInvariant(inv sa.Invariant) int32 {
 	if inv == nil {
 		return -1
 	}
-	ci := cinv{}
+	ci := cinv{slow: inv}
 	if fi, ok := inv.(*expr.Invariant); ok {
-		atoms := fi.AtomList()
-		ci.atoms = make([]catom, 0, len(atoms))
-		for _, a := range atoms {
-			if a.Clock < 0 {
-				ci.atoms = append(ci.atoms, catom{kind: aFree, clock: -1, freeFn: a.FreeFn})
-				continue
-			}
-			ca := catom{kind: aFnBound, clock: int32(a.Clock), strict: a.Strict, boundFn: a.BoundFn}
-			if lit, isLit := a.Bound.(*expr.IntLit); isLit {
-				ca.kind = aConstBound
-				ca.k = lit.Val
-			}
-			ci.atoms = append(ci.atoms, ca)
+		if atoms, ok := cn.compileAtoms(fi.AtomList()); ok {
+			ci = cinv{atoms: atoms}
 		}
-		if ci.atoms == nil {
-			ci.atoms = []catom{} // non-nil marks "use atoms", even when empty
-		}
-	} else {
-		ci.slow = inv
 	}
 	cn.invs = append(cn.invs, ci)
 	return int32(len(cn.invs) - 1)
+}
+
+// compileAtoms flattens an expression invariant's atoms. It reports false
+// when the bytecode compiler rejects an atom; the whole invariant then
+// takes the interface fallback.
+func (cn *compiledNet) compileAtoms(list []expr.InvariantAtom) ([]catom, bool) {
+	atoms := make([]catom, len(list))
+	for i, a := range list {
+		ca := catom{kind: aProgBound, clock: int32(a.Clock), strict: a.Strict}
+		if lit, isLit := a.Bound.(*expr.IntLit); isLit {
+			ca.kind, ca.k = aConstBound, lit.Val
+		} else if a.Clock < 0 {
+			ca.kind, ca.prog = aFree, expr.CompileBoolProg(a.Free)
+		} else {
+			ca.prog = expr.CompileIntProg(a.Bound)
+		}
+		if ca.kind != aConstBound && ca.prog == nil {
+			return nil, false
+		}
+		cn.trackRegs(ca.prog)
+		atoms[i] = ca
+	}
+	return atoms, true
 }
 
 // loc returns the dense-form location automaton ai occupies in s.
@@ -316,8 +347,6 @@ func (cn *compiledNet) evalGuard(ce *cedge, vars, clocks, regs []int64, env expr
 		return true
 	case gProg:
 		return cn.progs[ce.gidx].EvalBool(vars, clocks, regs)
-	case gClosure:
-		return cn.fns[ce.gidx](vars, clocks)
 	default: // gOpaque
 		return guardHolds(cn.slows[ce.gidx], env)
 	}

@@ -16,8 +16,8 @@ import (
 // whose current location has a clock-dependent guard. Three mechanisms keep
 // that cheap:
 //
-//   - Guards and updates run as inlined comparisons or expression bytecode
-//     (compiledNet), not closure chains, with one shared register file.
+//   - Guards, updates and invariant atoms run as inlined comparisons or
+//     expression bytecode (compiledNet), with one shared register file.
 //   - Enabled-set maintenance and deadline maintenance are split into two
 //     dirt planes. Per-channel synchronization half lists are maintained
 //     incrementally (sorted surgery on location changes) instead of being
@@ -643,7 +643,7 @@ func (r *compiledRuntime) recomputeDeadline(ai int32) {
 	r.dlDirty[ai] = false
 }
 
-// atomsMaxDelay mirrors expr.Invariant.MaxDelayRaw over the flattened atoms,
+// atomsMaxDelay mirrors expr.Invariant.MaxDelay over the flattened atoms,
 // with the constant-bound fast path.
 func (r *compiledRuntime) atomsMaxDelay(atoms []catom) int64 {
 	d := expr.NoBound
@@ -653,8 +653,8 @@ func (r *compiledRuntime) atomsMaxDelay(atoms []catom) int64 {
 			continue
 		}
 		b := a.k
-		if a.kind == aFnBound {
-			b = a.boundFn(r.s.Vars, r.s.Clocks)
+		if a.kind == aProgBound {
+			b = a.prog.EvalInt(r.s.Vars, r.s.Clocks, r.regs)
 		}
 		room := b - r.s.Clocks[a.clock]
 		if a.strict {
@@ -667,19 +667,19 @@ func (r *compiledRuntime) atomsMaxDelay(atoms []catom) int64 {
 	return d
 }
 
-// atomsHold mirrors expr.Invariant.HoldsRaw over the flattened atoms.
+// atomsHold mirrors expr.Invariant.Holds over the flattened atoms.
 func (r *compiledRuntime) atomsHold(atoms []catom) bool {
 	for i := range atoms {
 		a := &atoms[i]
 		if a.kind == aFree {
-			if !a.freeFn(r.s.Vars, r.s.Clocks) {
+			if !a.prog.EvalBool(r.s.Vars, r.s.Clocks, r.regs) {
 				return false
 			}
 			continue
 		}
 		b := a.k
-		if a.kind == aFnBound {
-			b = a.boundFn(r.s.Vars, r.s.Clocks)
+		if a.kind == aProgBound {
+			b = a.prog.EvalInt(r.s.Vars, r.s.Clocks, r.regs)
 		}
 		c := r.s.Clocks[a.clock]
 		if a.strict {

@@ -3,6 +3,7 @@ package nsa
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -257,44 +258,156 @@ func TestLocationString(t *testing.T) {
 	}
 }
 
-// TestGuardPanicSameErrorOnBothBackends drives an expression-guard panic
-// through the engine's recover boundary: the guard 10 / x > 0 compiles to
-// bytecode and becomes reachable at t = 2 with x == 0. The compiled and
-// naive backends must report the identical *SemanticsError.
+// TestGuardPanicSameErrorOnBothBackends drives the compiled runtime's
+// bytecode and fallback paths against the naive oracle. Each case builds
+// A: L0 {t <= 2} --t == 2; upd--> L1 {inv} --guard--> L2, pins the tier
+// L1's invariant or guard lands on, and then requires both backends to
+// report the identical *SemanticsError at t = 2, or, when none is
+// expected, identical traces and final states.
 func TestGuardPanicSameErrorOnBothBackends(t *testing.T) {
-	b := NewBuilder()
-	b.Var("x", 1)
-	ck := b.Clock("t")
-	sc := b.Scope()
-	ab := sa.NewBuilder("A")
-	ab.OwnClock(ck)
-	l0 := ab.Loc("L0", sa.WithInvariant(mustInv(t, "t <= 2", sc)))
-	l1 := ab.Loc("L1")
-	l2 := ab.Loc("L2")
-	ab.Init(l0)
-	ab.Edge(l0, l1, sa.NewExprGuard(expr.MustParseResolve("t == 2", sc, expr.TypeBool)), sa.None,
-		&sa.ExprUpdate{Stmts: expr.MustParseResolveUpdate("x := 0", sc)})
-	ab.Edge(l1, l2, sa.NewExprGuard(expr.MustParseResolve("10 / x > 0", sc, expr.TypeBool)), sa.None, nil)
-	b.Add(ab.MustBuild())
-	net := b.MustBuild()
+	parsed := func(src string) func(sc expr.Scope) sa.Invariant {
+		return func(sc expr.Scope) sa.Invariant { return mustInv(t, src, sc) }
+	}
+	cases := []struct {
+		name    string
+		upd     string
+		inv     func(sc expr.Scope) sa.Invariant // L1's; nil for none
+		guard   func(sc expr.Scope) sa.Guard
+		tier    func(cn *compiledNet, l1 *cloc) bool
+		wantErr string // "" expects a clean run
+	}{
+		{
+			// A bytecode guard faulting at the engine's recover boundary.
+			name: "guard 10 / x > 0",
+			upd:  "x := 0",
+			guard: func(sc expr.Scope) sa.Guard {
+				return sa.NewExprGuard(expr.MustParseResolve("10 / x > 0", sc, expr.TypeBool))
+			},
+			tier:    func(_ *compiledNet, l1 *cloc) bool { return l1.edges[0].gkind == gProg },
+			wantErr: "division by zero",
+		},
+		{
+			// An invariant bound faulting when the firing checks its target.
+			name: "invariant t <= 10 / x",
+			upd:  "x := 0",
+			inv:  parsed("t <= 10 / x"),
+			tier: func(cn *compiledNet, l1 *cloc) bool {
+				a := cn.invs[l1.inv].atoms
+				return len(a) == 1 && a[0].kind == aProgBound && a[0].prog != nil
+			},
+			wantErr: "division by zero",
+		},
+		{
+			// A variable bound and a clock-free atom bounding the delay.
+			name: "invariant t <= x",
+			upd:  "x := 5",
+			inv:  parsed("t <= x && x > 0"),
+			guard: func(sc expr.Scope) sa.Guard {
+				return sa.NewExprGuard(expr.MustParseResolve("t == x", sc, expr.TypeBool))
+			},
+			tier: func(cn *compiledNet, l1 *cloc) bool {
+				a := cn.invs[l1.inv].atoms
+				return len(a) == 2 && a[0].kind == aProgBound && a[1].kind == aFree && a[1].prog != nil
+			},
+		},
+		{
+			// A clock-free atom failing when the firing checks its target.
+			name: "invariant x > 0 violated",
+			upd:  "x := 0",
+			inv:  parsed("t <= 5 && x > 0"),
+			tier: func(cn *compiledNet, l1 *cloc) bool {
+				a := cn.invs[l1.inv].atoms
+				return len(a) == 2 && a[0].kind == aConstBound && a[1].kind == aFree && a[1].prog != nil
+			},
+			wantErr: "violating invariant",
+		},
+		{
+			// An invariant with an atom the bytecode compiler rejects
+			// takes the interface path as a whole.
+			name: "unresolved identifier invariant",
+			upd:  "x := 0",
+			inv: func(expr.Scope) sa.Invariant {
+				return expr.MustCompileInvariant(&expr.Ident{Name: "ghost"})
+			},
+			tier:    func(cn *compiledNet, l1 *cloc) bool { return cn.invs[l1.inv].slow != nil },
+			wantErr: "unresolved identifier",
+		},
+		{
+			// An expression guard the bytecode compiler rejects runs its
+			// tree walker on the opaque path.
+			name: "unresolved identifier guard",
+			upd:  "x := 0",
+			guard: func(expr.Scope) sa.Guard {
+				return sa.NewExprGuard(&expr.Ident{Name: "ghost"})
+			},
+			tier:    func(_ *compiledNet, l1 *cloc) bool { return l1.edges[0].gkind == gOpaque },
+			wantErr: "unresolved identifier",
+		},
+	}
+	for _, c := range cases {
+		b := NewBuilder()
+		b.Var("x", 1)
+		ck := b.Clock("t")
+		sc := b.Scope()
+		ab := sa.NewBuilder("A")
+		ab.OwnClock(ck)
+		l0 := ab.Loc("L0", sa.WithInvariant(mustInv(t, "t <= 2", sc)))
+		var l1opts []sa.LocOption
+		if c.inv != nil {
+			l1opts = append(l1opts, sa.WithInvariant(c.inv(sc)))
+		}
+		l1 := ab.Loc("L1", l1opts...)
+		l2 := ab.Loc("L2")
+		ab.Init(l0)
+		ab.Edge(l0, l1, sa.NewExprGuard(expr.MustParseResolve("t == 2", sc, expr.TypeBool)), sa.None,
+			&sa.ExprUpdate{Stmts: expr.MustParseResolveUpdate(c.upd, sc)})
+		var g sa.Guard
+		if c.guard != nil {
+			g = c.guard(sc)
+		}
+		ab.Edge(l1, l2, g, sa.None, nil)
+		b.Add(ab.MustBuild())
+		net := b.MustBuild()
 
-	cn := net.compiled()
-	if g := cn.locs[cn.locBase[0]+int32(l1)].edges[0].gkind; g != gProg {
-		t.Fatalf("guard tier = %d, want gProg (%d)", g, gProg)
-	}
-	var msgs []string
-	for _, bk := range []Backend{BackendCompiled, BackendNaive} {
-		_, err := NewEngine(net, Options{Horizon: 10, Backend: bk}).Run()
-		var se *SemanticsError
-		if !errors.As(err, &se) {
-			t.Fatalf("%s: err = %v, want *SemanticsError", bk, err)
+		cn := net.compiled()
+		if !c.tier(cn, &cn.locs[cn.locBase[0]+int32(l1)]) {
+			t.Fatalf("%s: L1 compiled to an unexpected tier", c.name)
 		}
-		if se.Time != 2 || !strings.Contains(se.Msg, "division by zero") {
-			t.Errorf("%s: err = %v, want division by zero at t=2", bk, err)
+		var msgs []string
+		var trs []*SyncTrace
+		var states []*State
+		for _, bk := range []Backend{BackendCompiled, BackendNaive} {
+			tr := &SyncTrace{}
+			eng := NewEngine(net, Options{Horizon: 10, Backend: bk, Listeners: []Listener{tr}})
+			_, err := eng.Run()
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("%s: %s: %v", c.name, bk, err)
+				}
+				trs, states = append(trs, tr), append(states, eng.State())
+				continue
+			}
+			var se *SemanticsError
+			if !errors.As(err, &se) {
+				t.Fatalf("%s: %s: err = %v, want *SemanticsError", c.name, bk, err)
+			}
+			if se.Time != 2 || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: %s: err = %v, want %s at t=2", c.name, bk, err, c.wantErr)
+			}
+			msgs = append(msgs, err.Error())
 		}
-		msgs = append(msgs, err.Error())
-	}
-	if msgs[0] != msgs[1] {
-		t.Errorf("backends disagree:\n compiled: %s\n naive:    %s", msgs[0], msgs[1])
+		if c.wantErr != "" {
+			if msgs[0] != msgs[1] {
+				t.Errorf("%s: backends disagree:\n compiled: %s\n naive:    %s", c.name, msgs[0], msgs[1])
+			}
+			continue
+		}
+		if len(trs[0].Events) != 2 {
+			t.Errorf("%s: compiled fired %d transitions, want 2", c.name, len(trs[0].Events))
+		}
+		if !reflect.DeepEqual(trs[0].Events, trs[1].Events) || !reflect.DeepEqual(states[0], states[1]) {
+			t.Errorf("%s: backends disagree:\n compiled: %+v %+v\n naive:    %+v %+v",
+				c.name, trs[0].Events, states[0], trs[1].Events, states[1])
+		}
 	}
 }

@@ -19,9 +19,10 @@ import "sync/atomic"
 //     synchronization kind; their sum equals Actions.
 //   - GuardEvals: guard evaluations on the compiled interpretation paths
 //     (engine runtime recomputation and Enumerator scans), split into
-//     GuardCompiled (compiled expression closure or cheaper), GuardBytecode
-//     (the bytecode and inlined-comparison subset of GuardCompiled) and
-//     GuardOpaque (interface dispatch through the environment).
+//     GuardCompiled (everything off the opaque path), GuardBytecode (the
+//     bytecode and inlined-comparison subset of GuardCompiled; the rest of
+//     GuardCompiled is unguarded edges) and GuardOpaque (interface dispatch
+//     through the environment).
 //   - EnabledCalls: enabled-set queries. Recomputes counts automata whose
 //     cached enabled sets had to be rebuilt (dirty); CacheReuses counts
 //     automata whose cached sets were still valid. DirtyTotal sums the

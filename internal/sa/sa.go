@@ -110,8 +110,11 @@ type Deps struct {
 }
 
 // GuardFunc is a Guard backed by a Go function. F must not depend on clock
-// values unless NextEnableF is also provided. Reads, when non-nil, declares
-// every variable and clock F (and NextEnableF) may read.
+// values unless NextEnableF is also provided, or every edge it guards
+// leaves a committed location: time cannot pass there, so no delay can
+// enable it (the model library's pick and preempts guards read the
+// response-time clocks this way). Reads, when non-nil, declares every
+// variable and clock F (and NextEnableF) may read.
 type GuardFunc struct {
 	Desc        string
 	F           func(env expr.Env) bool
